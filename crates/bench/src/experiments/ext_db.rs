@@ -124,18 +124,19 @@ fn run_backend<M: MemSpace>(label: &'static str, mut m: M, sz: Sizing) -> RowOut
     }
 }
 
-/// Run all three backends.
+/// Run all three backends. Each is an independent world, so they run
+/// concurrently on the order-preserving worker pool.
 pub fn run(scale: Scale) -> Vec<RowOut> {
     let sz = sizing(scale);
     let cfg = ClusterConfig::prototype();
-    vec![
-        run_backend("local", LocalMachine::new(cfg, 128 << 30), sz),
-        run_backend(
+    crate::parallel_map(vec![0, 1, 2], |backend| match backend {
+        0 => run_backend("local", LocalMachine::new(cfg, 128 << 30), sz),
+        1 => run_backend(
             "remote memory",
             RemoteMemorySpace::new(cfg, super::n(1), AllocPolicy::AlwaysRemote),
             sz,
         ),
-        run_backend(
+        _ => run_backend(
             "remote swap",
             SwapSpace::remote(
                 cfg,
@@ -147,7 +148,7 @@ pub fn run(scale: Scale) -> Vec<RowOut> {
             ),
             sz,
         ),
-    ]
+    })
 }
 
 /// Render the study as a table.

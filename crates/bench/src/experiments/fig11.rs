@@ -180,23 +180,25 @@ where
     }
 }
 
-/// Run the full figure.
+/// Run the full figure. Each kernel's three backends are independent
+/// worlds, so the kernels run concurrently on the order-preserving worker
+/// pool.
 pub fn run(scale: Scale) -> Vec<Row> {
     let s = setup(scale);
-    vec![
-        triple("blackscholes", s.bs.footprint(), s.cache_pages, |m| {
+    crate::parallel_map(vec![0, 1, 2, 3], |kernel| match kernel {
+        0 => triple("blackscholes", s.bs.footprint(), s.cache_pages, |m| {
             s.bs.run(m).0
         }),
-        triple("raytrace", s.rt.footprint(), s.cache_pages, |m| {
+        1 => triple("raytrace", s.rt.footprint(), s.cache_pages, |m| {
             s.rt.run(m).0
         }),
-        triple("canneal", s.cn.footprint(), s.cache_pages, |m| {
+        2 => triple("canneal", s.cn.footprint(), s.cache_pages, |m| {
             s.cn.run(m).0
         }),
-        triple("streamcluster", s.sc.footprint(), s.cache_pages, |m| {
+        _ => triple("streamcluster", s.sc.footprint(), s.cache_pages, |m| {
             s.sc.run(m).0
         }),
-    ]
+    })
 }
 
 /// Render the figure as a table.

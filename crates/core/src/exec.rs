@@ -1,22 +1,24 @@
-//! Engine-agnostic execution of *lane* events.
+//! Execution of *lane* events.
 //!
 //! The world's events fall into two classes:
 //!
 //! * **Lane events** (`Hop`, `MemDone`, `ThreadWake`, `Timeout`) touch the
 //!   state of exactly one node — the event's *lane* — plus cluster-shared
 //!   read-only state. They are handled here, against a [`LaneCtx`] that
-//!   borrows either the whole world (sequential engine) or one partition's
-//!   shard (parallel engine, `crate::par`).
-//! * **Global events** (`Sample`, `Fault`, `Suspect`) may touch anything.
-//!   They stay ordinary `&mut World` methods in `crate::world`; the parallel
-//!   engine merges its shards back into the world before running one.
+//!   split-borrows the world (the fabric's router rows, counters and
+//!   routing state come from `Fabric::decompose`).
+//! * **Global events** (`Sample`, `Fault`, `Suspect`, `Manager`) may touch
+//!   anything. They stay ordinary `&mut World` methods in `crate::world`.
 //!
 //! ## Content-determined event keys
 //!
-//! Byte-identical output across engines requires that both pop events in the
-//! same total `(time, key)` order, which in turn requires the *key* of an
-//! event to be a pure function of the computation — never of engine-specific
-//! scheduling order. [`make_key`] packs, from most to least significant:
+//! Events at the same instant pop in the order of their *key*, which is a
+//! pure function of the computation that scheduled them — never of the
+//! queue's insertion order. That fixes the tie order of same-instant events
+//! (and with it every report byte) independently of how the handlers
+//! happen to interleave their `schedule` calls; switching to plain
+//! insertion order would reorder same-instant events and change report
+//! bytes. [`make_key`] packs, from most to least significant:
 //!
 //! ```text
 //! [ lane:16 | gen:8 | parent lane:16 | parent index:48 | child ordinal:16 ]
@@ -30,12 +32,8 @@
 //!   1`, so it sorts after the parent's siblings of the same generation.
 //! * `parent lane`/`parent index` — which event scheduled this one: the
 //!   parent's lane and its per-lane execution ordinal (or `0`/a global
-//!   sequence number for setup- and global-context scheduling, which both
-//!   engines perform identically).
+//!   sequence number for setup- and global-context scheduling).
 //! * `child ordinal` — position among the parent's same-call children.
-//!
-//! Both engines derive identical keys for identical events, so the parallel
-//! engine's windowed merge reproduces the sequential pop order exactly.
 
 use crate::config::ClusterConfig;
 use crate::world::{CohState, Ev, NodeCtx, Owner, PendingTx, Thread};
@@ -93,11 +91,11 @@ pub(crate) const BACKOFF_CEILING: SimDuration = SimDuration::secs(1);
 /// event queue, and the absolute ceiling keeps timer instants finite (see
 /// [`BACKOFF_CEILING`]).
 ///
-/// The jitter is a pure function of `(cluster seed, tag, attempt)` —
-/// engine- and partition-independent, so the parallel engine reproduces it
-/// byte-identically. Tags encode the issuing node in their high bits, so
-/// clients whose retries a shared outage synchronized spread back out
-/// instead of re-saturating the restored fabric in one wave.
+/// The jitter is a pure function of `(cluster seed, tag, attempt)`, so a
+/// seed reproduces it byte-identically. Tags encode the issuing node in
+/// their high bits, so clients whose retries a shared outage synchronized
+/// spread back out instead of re-saturating the restored fabric in one
+/// wave.
 #[inline]
 pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimDuration {
     let shift = attempt.min(cfg.recovery.backoff_cap).min(63);
@@ -120,9 +118,9 @@ pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimD
 }
 
 /// Delay between a requester exhausting its retry budget and the suspect
-/// declaration taking effect cluster-wide ([`Ev::Suspect`]): one fabric
-/// lookahead window, so the declaration is a strictly-future global event
-/// under any partitioning (and a well-defined one on a zero-latency fabric).
+/// declaration taking effect cluster-wide ([`Ev::Suspect`]): one minimum
+/// fabric hop latency, so the declaration is a strictly-future global event
+/// (1 ns on a zero-latency fabric).
 #[inline]
 pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
     let w = shared.min_hop_latency();
@@ -134,257 +132,29 @@ pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
 }
 
 // ---------------------------------------------------------------------------
-// Trace log-and-replay
-// ---------------------------------------------------------------------------
-
-/// One deferred [`TraceSink`] call (owned data only, so shards are `'static`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TraceOp {
-    Begin {
-        tx: u64,
-        node: u16,
-        t: SimTime,
-    },
-    Push {
-        tx: u64,
-        phase: Phase,
-        node: u16,
-        t0: SimTime,
-        t1: SimTime,
-        attr: Option<(&'static str, u64)>,
-    },
-    Finish {
-        tx: u64,
-        t: SimTime,
-        failed: bool,
-    },
-    FailFast {
-        node: u16,
-        t: SimTime,
-    },
-}
-
-impl TraceOp {
-    fn apply(self, sink: &mut TraceSink) {
-        match self {
-            TraceOp::Begin { tx, node, t } => sink.begin(tx, node, t),
-            TraceOp::Push {
-                tx,
-                phase,
-                node,
-                t0,
-                t1,
-                attr,
-            } => sink.push_attr(tx, phase, node, t0, t1, attr),
-            TraceOp::Finish { tx, t, failed } => sink.finish(tx, t, failed),
-            TraceOp::FailFast { node, t } => sink.fail_fast(node, t),
-        }
-    }
-}
-
-/// A deferred trace call stamped with its emitting event's `(time, key)` and
-/// intra-event ordinal, so a merged batch can be replayed against the real
-/// sink in exactly the order the sequential engine would have made the calls.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceRec {
-    pub(crate) at: SimTime,
-    pub(crate) key: u128,
-    pub(crate) opseq: u32,
-    pub(crate) op: TraceOp,
-}
-
-/// Per-shard buffer of deferred trace calls.
-#[derive(Debug, Default)]
-pub(crate) struct TraceLog {
-    pub(crate) enabled: bool,
-    pub(crate) buf: Vec<TraceRec>,
-    at: SimTime,
-    key: u128,
-    opseq: u32,
-}
-
-impl TraceLog {
-    pub(crate) fn new(enabled: bool) -> TraceLog {
-        TraceLog {
-            enabled,
-            ..TraceLog::default()
-        }
-    }
-
-    /// Start logging under a new executing event's `(time, key)`.
-    #[inline]
-    pub(crate) fn set_event(&mut self, at: SimTime, key: u128) {
-        self.at = at;
-        self.key = key;
-        self.opseq = 0;
-    }
-
-    #[inline]
-    fn log(&mut self, op: TraceOp) {
-        if self.enabled {
-            self.buf.push(TraceRec {
-                at: self.at,
-                key: self.key,
-                opseq: self.opseq,
-                op,
-            });
-            self.opseq += 1;
-        }
-    }
-}
-
-/// Sort a batch of deferred trace calls into global event order and apply
-/// them to the sink. Calls are replayed *between* windows and *before* any
-/// merged-world global event runs, so direct calls made by global handlers
-/// interleave correctly (every logged call strictly precedes them in event
-/// order).
-pub(crate) fn replay_trace(sink: &mut TraceSink, mut recs: Vec<TraceRec>) {
-    // Self-profiling (out-of-band): replay volume tells a parallel-engine
-    // PR how much deferred-trace work merges and flushes are moving.
-    if cohfree_sim::metrics::enabled() {
-        cohfree_sim::metrics::counter_add("cohfree_par_trace_replays_total", 1);
-        cohfree_sim::metrics::counter_add("cohfree_par_trace_records_total", recs.len() as u64);
-    }
-    recs.sort_unstable_by_key(|r| (r.at, r.key, r.opseq));
-    for r in recs {
-        r.op.apply(sink);
-    }
-}
-
-/// Where a lane context's trace calls go: straight into the world's sink
-/// (sequential — and, for global handlers, the merged world), or into a
-/// shard's deferred log (parallel workers).
-pub(crate) enum TraceCtx<'a> {
-    Direct(&'a mut TraceSink),
-    Log(&'a mut TraceLog),
-}
-
-impl TraceCtx<'_> {
-    /// Whether tracing is on at all. Lane code gates on this instead of the
-    /// sink's per-transaction `is_traced` (which a deferred log cannot
-    /// answer); the sink ignores calls for untraced ids in every mode, so
-    /// the two gates produce identical output.
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        match self {
-            TraceCtx::Direct(s) => s.enabled(),
-            TraceCtx::Log(l) => l.enabled,
-        }
-    }
-
-    #[inline]
-    fn begin(&mut self, tx: u64, node: u16, t: SimTime) {
-        match self {
-            TraceCtx::Direct(s) => s.begin(tx, node, t),
-            TraceCtx::Log(l) => l.log(TraceOp::Begin { tx, node, t }),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, tx: u64, phase: Phase, node: u16, t0: SimTime, t1: SimTime) {
-        self.push_attr(tx, phase, node, t0, t1, None);
-    }
-
-    #[inline]
-    fn push_attr(
-        &mut self,
-        tx: u64,
-        phase: Phase,
-        node: u16,
-        t0: SimTime,
-        t1: SimTime,
-        attr: Option<(&'static str, u64)>,
-    ) {
-        match self {
-            TraceCtx::Direct(s) => s.push_attr(tx, phase, node, t0, t1, attr),
-            TraceCtx::Log(l) => l.log(TraceOp::Push {
-                tx,
-                phase,
-                node,
-                t0,
-                t1,
-                attr,
-            }),
-        }
-    }
-
-    #[inline]
-    fn finish(&mut self, tx: u64, t: SimTime, failed: bool) {
-        match self {
-            TraceCtx::Direct(s) => s.finish(tx, t, failed),
-            TraceCtx::Log(l) => l.log(TraceOp::Finish { tx, t, failed }),
-        }
-    }
-
-    #[inline]
-    fn fail_fast(&mut self, node: u16, t: SimTime) {
-        match self {
-            TraceCtx::Direct(s) => s.fail_fast(node, t),
-            TraceCtx::Log(l) => l.log(TraceOp::FailFast { node, t }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scheduling sink
-// ---------------------------------------------------------------------------
-
-/// Where a lane context's scheduled events go. Sequential: one queue holds
-/// everything. Parallel: events for this shard's own lanes go to its local
-/// queue; cross-partition (and global) events go to the outbox, which the
-/// coordinator routes at the window barrier.
-pub(crate) enum SchedSink<'a> {
-    Seq(&'a mut EventQueue<Ev>),
-    Par {
-        queue: &'a mut EventQueue<Ev>,
-        outbox: &'a mut Vec<(SimTime, u128, u16, Ev)>,
-        lo: u16,
-        hi: u16,
-        /// Lazy min-heap of loss-recovery timer instants armed on this
-        /// shard's own lanes. The coordinator's global-event bound (see
-        /// `par::run_parallel`) needs a lower bound on the earliest
-        /// `Timeout` a shard holds without scanning its queue, so every
-        /// locally-scheduled timer also pushes its instant here; entries go
-        /// stale when the timer fires or is superseded, and stale entries
-        /// are simply *early* — the bound stays conservative.
-        timeout_lb: &'a mut std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    },
-}
-
-// ---------------------------------------------------------------------------
 // Lane context
 // ---------------------------------------------------------------------------
 
-/// Mutable view of one contiguous lane range `[first, first + nodes.len())`
-/// plus the cluster-shared state a lane event may touch. The sequential
-/// engine builds one over the whole world per event; the parallel engine
-/// builds one over a shard.
+/// Mutable split borrow of the world for one lane event: the per-node state
+/// (indexed by `NodeId::index`), the cluster-shared state a lane event may
+/// touch, and the currently executing event's identity, from which its
+/// children's ordering keys derive.
 pub(crate) struct LaneCtx<'a> {
     pub(crate) cfg: &'a ClusterConfig,
-    /// First node id covered by the per-lane slices below (1 = whole world).
-    pub(crate) first: u16,
     pub(crate) nodes: &'a mut [NodeCtx],
-    /// Threads homed on this context's lanes (all threads, sequentially).
     pub(crate) threads: &'a mut [Thread],
-    /// Global thread id -> (shard, local slot); `None` = identity.
-    pub(crate) tmap: Option<&'a [(u16, u32)]>,
-    /// This context's shard index (0 sequentially).
-    pub(crate) shard: u16,
-    /// In-flight transactions whose source lane lies in this context.
     pub(crate) pending: &'a mut FastMap<u64, PendingTx>,
-    /// Per-lane evacuation remap tables (index `lane - first`).
     pub(crate) evac_remaps: &'a mut [Vec<(u64, u64, u64)>],
-    /// Per-lane fabric router rows (index `lane - first`).
+    /// Fabric router rows, one per node.
     pub(crate) rows: &'a mut [FabricRow],
     pub(crate) fab_shared: &'a FabricShared,
     pub(crate) fab_counters: &'a mut FabricCounters,
-    /// Cluster-wide crash flags (absolute index `node.index()`).
     pub(crate) dead: &'a [bool],
-    /// Coherent-DSM baseline state; `None` in parallel contexts (a coherent
-    /// domain forces the sequential engine).
-    pub(crate) coh: Option<(&'a mut FastMap<u64, CohState>, &'a [NodeId])>,
-    pub(crate) trace: TraceCtx<'a>,
-    pub(crate) sink: SchedSink<'a>,
+    /// Coherent-DSM baseline state (empty domain = the paper's system).
+    pub(crate) coh: &'a mut FastMap<u64, CohState>,
+    pub(crate) coherent_domain: &'a [NodeId],
+    pub(crate) trace: &'a mut TraceSink,
+    pub(crate) queue: &'a mut EventQueue<Ev>,
     /// Blocking-driver completion slot (`Owner::Sync`); failure declaration
     /// is global-only, so there is no failure slot here.
     pub(crate) sync_done: &'a mut Option<(u64, SimTime)>,
@@ -402,25 +172,7 @@ pub(crate) struct LaneCtx<'a> {
 impl LaneCtx<'_> {
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut NodeCtx {
-        &mut self.nodes[(id.get() - self.first) as usize]
-    }
-
-    #[inline]
-    fn thread_mut(&mut self, id: usize) -> &mut Thread {
-        let slot = match self.tmap {
-            None => id,
-            Some(m) => {
-                let (shard, slot) = m[id];
-                debug_assert_eq!(shard, self.shard, "thread {id} handled off-shard");
-                slot as usize
-            }
-        };
-        &mut self.threads[slot]
-    }
-
-    #[inline]
-    fn evac_remap(&self, node: NodeId) -> &[(u64, u64, u64)] {
-        &self.evac_remaps[(node.get() - self.first) as usize]
+        &mut self.nodes[id.index()]
     }
 
     /// Schedule `ev` on `lane` at `at` under its content-determined key.
@@ -439,25 +191,7 @@ impl LaneCtx<'_> {
             at > self.now || key > self.cur_key,
             "same-instant event scheduled into the past of the canonical order"
         );
-        match &mut self.sink {
-            SchedSink::Seq(q) => q.schedule_keyed(at, key, ev),
-            SchedSink::Par {
-                queue,
-                outbox,
-                lo,
-                hi,
-                timeout_lb,
-            } => {
-                if lane >= *lo && lane <= *hi {
-                    if matches!(ev, Ev::Timeout { .. }) {
-                        timeout_lb.push(std::cmp::Reverse(at));
-                    }
-                    queue.schedule_keyed(at, key, ev);
-                } else {
-                    outbox.push((at, key, lane, ev));
-                }
-            }
-        }
+        self.queue.schedule_keyed(at, key, ev);
     }
 }
 
@@ -474,9 +208,6 @@ pub(crate) fn exec_event(ctx: &mut LaneCtx<'_>, now: SimTime, key: u128, idx: u6
     ctx.cur_key = key;
     ctx.cur_idx = idx;
     ctx.child = 0;
-    if let TraceCtx::Log(l) = &mut ctx.trace {
-        l.set_event(now, key);
-    }
     match ev {
         // A message at a crashed router vanishes with the router.
         Ev::Hop { at, .. } if ctx.dead[at.index()] => {}
@@ -496,7 +227,7 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
     let (step, queued) = step_row(
         ctx.fab_shared,
         ctx.fab_counters,
-        &mut ctx.rows[(at.get() - ctx.first) as usize],
+        &mut ctx.rows[at.index()],
         now,
         at,
         &msg,
@@ -525,8 +256,8 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
             }
             MsgKind::ProbeResp => {
                 let done = ctx.node_mut(msg.dst).server.on_probe_response(t);
-                let (coh, _) = ctx.coh.as_mut().expect("probe outside a coherent domain");
-                let st = coh
+                let st = ctx
+                    .coh
                     .get_mut(&msg.tag)
                     .expect("probe response for unknown coherent transaction");
                 st.awaiting_probes -= 1;
@@ -541,13 +272,13 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
                     .access(issue.issue_at, issue.local_addr, issue.bytes);
                 ctx.sched(done, home.get(), Ev::MemDone { msg, arrived: t });
                 // Broadcast snoops to every other domain member.
-                let (coh, domain) = ctx.coh.as_mut().expect("coherent read outside a domain");
-                let members: Vec<NodeId> = domain
+                let members: Vec<NodeId> = ctx
+                    .coherent_domain
                     .iter()
                     .copied()
                     .filter(|&m| m != home && m != msg.src)
                     .collect();
-                coh.insert(
+                ctx.coh.insert(
                     msg.tag,
                     CohState {
                         awaiting_probes: members.len(),
@@ -610,8 +341,8 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
 
 fn mem_done(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, arrived: SimTime) {
     if matches!(msg.kind, MsgKind::CohReadReq { .. }) {
-        let (coh, _) = ctx.coh.as_mut().expect("coherent memory completion");
-        let st = coh
+        let st = ctx
+            .coh
             .get_mut(&msg.tag)
             .expect("memory completion for unknown coherent transaction");
         st.mem_done = Some(now);
@@ -640,14 +371,11 @@ fn mem_done(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, arrived: SimTime)
 /// Release a coherent response once both the DRAM read and every snoop
 /// response are in.
 fn try_finish_coherent(ctx: &mut LaneCtx<'_>, tag: u64, now: SimTime) {
-    let st = {
-        let (coh, _) = ctx.coh.as_mut().expect("coherent state map");
-        let st = coh.get(&tag).expect("coherent state exists");
-        if st.awaiting_probes != 0 || st.mem_done.is_none() {
-            return;
-        }
-        coh.remove(&tag).expect("checked above")
-    };
+    let st = ctx.coh.get(&tag).expect("coherent state exists");
+    if st.awaiting_probes != 0 || st.mem_done.is_none() {
+        return;
+    }
+    let st = ctx.coh.remove(&tag).expect("checked above");
     let (resp, inject_at) = ctx
         .node_mut(st.req.dst)
         .server
@@ -667,7 +395,7 @@ fn complete(ctx: &mut LaneCtx<'_>, comp: Completion) {
     match ctx.pending.remove(&comp.tag).map(|p| p.owner) {
         Some(Owner::Thread(id)) => {
             let (wake, node, finished) = {
-                let th = ctx.thread_mut(id);
+                let th = &mut ctx.threads[id];
                 th.completed += 1;
                 // Serving threads record the end-to-end latency a user
                 // sees: arrival (or first offer) to completion.
@@ -683,7 +411,7 @@ fn complete(ctx: &mut LaneCtx<'_>, comp: Completion) {
                 )
             };
             if finished {
-                ctx.thread_mut(id).finished = Some(comp.done_at);
+                ctx.threads[id].finished = Some(comp.done_at);
             } else {
                 ctx.sched(wake, node.get(), Ev::ThreadWake { id });
             }
@@ -750,7 +478,7 @@ fn on_timeout(ctx: &mut LaneCtx<'_>, now: SimTime, tag: u64, attempt: u32) {
 /// schedule its next step.
 fn thread_access_failed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     let (wake, node, finished) = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         th.failed += 1;
         th.inflight_since = None;
         (
@@ -760,7 +488,7 @@ fn thread_access_failed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
         )
     };
     if finished {
-        ctx.thread_mut(id).finished = Some(now);
+        ctx.threads[id].finished = Some(now);
     } else {
         ctx.sched(wake, node.get(), Ev::ThreadWake { id });
     }
@@ -772,7 +500,7 @@ fn thread_access_failed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
 /// conservation oracle reads `completed + failed + shed == accesses`.
 fn thread_shed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     let (wake, node, finished) = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         th.shed += 1;
         (
             th.next_issue_at(now),
@@ -781,7 +509,7 @@ fn thread_shed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
         )
     };
     if finished {
-        ctx.thread_mut(id).finished = Some(now);
+        ctx.threads[id].finished = Some(now);
     } else {
         ctx.sched(wake, node.get(), Ev::ThreadWake { id });
     }
@@ -791,7 +519,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // A wake-up for a thread that died (its node crashed) or already
     // finished (e.g. its last access failed) is stale.
     let node = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         if th.finished.is_some() {
             return;
         }
@@ -802,7 +530,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     }
     // Take the pending (NACKed or evacuated) access or generate a fresh one.
     let (dst, kind, addr) = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         if let Some(p) = th.pending.take() {
             p
         } else {
@@ -877,11 +605,10 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // The instant the access was *first* offered to the RMC — NACK wake-ups
     // re-offer the same access, and the serialization stall is measured from
     // the very first attempt.
-    let first_offer = ctx.thread_mut(id).pending_since.take().unwrap_or(now);
+    let first_offer = ctx.threads[id].pending_since.take().unwrap_or(now);
     // Accesses into an evacuated zone follow it to its new home
     // (pre-evacuation NACKed pendings, pre-rewrite generated addresses).
-    let (dst, addr) = match ctx
-        .evac_remap(node)
+    let (dst, addr) = match ctx.evac_remaps[node.index()]
         .iter()
         .copied()
         .find(|&(old, _, frames)| addr >= old && addr < old + frames * 4096)
@@ -905,22 +632,21 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // overload; the preserved `pending_since` keeps the deferral inside
     // the transaction's eventual Stall phase, and re-admission is
     // guaranteed because backlogs are time-to-drain values that decay.
-    // Lane code only *reads* the shed set here — it is mutated solely by
-    // global manager events, the same partition-safety contract as the
-    // suspect set.
+    // Lane code only *reads* the shed set here — like the suspect set, it
+    // is mutated solely by global events.
     if ctx.node_mut(node).client.is_shed(dst) {
         // Open-loop serving threads drop the request instead of deferring:
         // an arrival-driven client cannot hold back load, so shedding is a
         // terminal outcome (counted, never retried). Closed-loop threads
         // keep the defer-and-retry discipline.
-        if !ctx.thread_mut(id).arrivals.is_empty() {
+        if !ctx.threads[id].arrivals.is_empty() {
             ctx.trace.fail_fast(node.get(), now);
             thread_shed(ctx, now, id);
             return;
         }
         let wake = now + ctx.cfg.manager.tick.max(SimDuration::ns(1));
         {
-            let th = ctx.thread_mut(id);
+            let th = &mut ctx.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);
         }
@@ -931,7 +657,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     match ctx.node_mut(node).client.submit(now, dst, kind, addr) {
         Submit::Accepted { msg, inject_at } => {
             {
-                let th = ctx.thread_mut(id);
+                let th = &mut ctx.threads[id];
                 if th.latency.is_some() {
                     // End-to-end serving latency runs from the request's
                     // first offer (its arrival, for open-loop threads).
@@ -946,12 +672,12 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
                     attempt: 0,
                 },
             );
-            trace_submitted(ctx, first_offer, now, &msg, inject_at);
+            trace_submitted(ctx.trace, ctx.cfg, first_offer, now, &msg, inject_at);
             ctx.sched(inject_at, node.get(), Ev::Hop { msg, at: node });
             arm_timeout(ctx, inject_at, msg.tag, 0);
         }
         Submit::Nacked { retry_at } => {
-            let th = ctx.thread_mut(id);
+            let th = &mut ctx.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);
             th.nack_retries += 1;
@@ -963,25 +689,25 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
 /// Open a trace for an accepted submission and attribute its stall,
 /// client-queue and issue phases. `first_offer` is when the core first
 /// wanted the access out (may precede `accepted_at` by NACK rounds).
+/// Shared by thread submissions and the world's blocking/posted drivers.
 pub(crate) fn trace_submitted(
-    ctx: &mut LaneCtx<'_>,
+    trace: &mut TraceSink,
+    cfg: &ClusterConfig,
     first_offer: SimTime,
     accepted_at: SimTime,
     msg: &Message,
     inject_at: SimTime,
 ) {
-    if !ctx.trace.enabled() {
+    if !trace.enabled() {
         return;
     }
     let node = msg.src.get();
     let tag = msg.tag;
-    ctx.trace.begin(tag, node, first_offer);
-    ctx.trace
-        .push(tag, Phase::Stall, node, first_offer, accepted_at);
-    let svc_start = inject_at - ctx.cfg.rmc.proc_time;
-    ctx.trace
-        .push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
-    ctx.trace.push(
+    trace.begin(tag, node, first_offer);
+    trace.push(tag, Phase::Stall, node, first_offer, accepted_at);
+    let svc_start = inject_at - cfg.rmc.proc_time;
+    trace.push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
+    trace.push(
         tag,
         Phase::Issue,
         node,

@@ -1,9 +1,9 @@
 //! Engine self-profiling: a process-global runtime metrics registry.
 //!
 //! [`crate::stats`] measures the *simulated* cluster; this module measures
-//! the *simulator itself* — scheduler rounds, merge causes, worker
-//! wall-clock — so engine PRs can see where host time goes. Three
-//! properties drive the design:
+//! the *simulator itself* — events per second, queue depth, runs — so
+//! engine PRs can see where host time goes. Three properties drive the
+//! design:
 //!
 //! * **Zero-cost when off.** The registry is compiled in unconditionally,
 //!   but every probe begins with [`enabled`] — one relaxed load of a static
@@ -13,35 +13,27 @@
 //! * **Out-of-band.** Probes write wall-clock and scheduler counts into
 //!   this registry only; nothing here is ever read back by simulation
 //!   code, so simulation output stays byte-identical with metrics on or
-//!   off (the parallel differential suite proves it at every partition
-//!   count).
+//!   off (pinned by the umbrella crate's `tests/sequential_invariants.rs`
+//!   and by CI's metrics-on/off report byte-compares).
 //! * **Dependency-free.** Plain `std` maps behind one mutex. Low-frequency
 //!   call sites lock directly; hot paths accumulate into run-local structs
 //!   and flush once per run.
 //!
-//! Metric names may carry Prometheus-style labels inline
-//! (`cohfree_par_merges_total{cause="fault"}`); [`labeled`] builds such
-//! names with correct label-value escaping. [`render_prometheus`] emits
-//! the whole registry in Prometheus text exposition format — histograms
-//! (reusing [`LatencyHistogram`]) become cumulative `_bucket{le="…"}`
-//! series plus `_sum`/`_count`, and time series become one sample per
-//! point tagged with a `t` label.
+//! The registry holds monotone counters and `(t, v)` time series.
+//! [`render_prometheus`] emits it in Prometheus text exposition format:
+//! one sample per counter, and one gauge sample per series point tagged
+//! with a `t` label.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::stats::LatencyHistogram;
-use crate::time::SimDuration;
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
 
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, LatencyHistogram>,
     series: BTreeMap<String, Vec<(u64, f64)>>,
 }
 
@@ -49,8 +41,6 @@ impl Registry {
     const fn new() -> Registry {
         Registry {
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
             series: BTreeMap::new(),
         }
     }
@@ -78,8 +68,6 @@ pub fn set_enabled(on: bool) {
 pub fn reset() {
     let mut r = reg();
     r.counters.clear();
-    r.gauges.clear();
-    r.hists.clear();
     r.series.clear();
 }
 
@@ -89,36 +77,6 @@ pub fn counter_add(name: &str, v: u64) {
         return;
     }
     *reg().counters.entry(name.to_string()).or_insert(0) += v;
-}
-
-/// Set the gauge `name` to `v`. No-op while disabled.
-pub fn gauge_set(name: &str, v: f64) {
-    if !enabled() {
-        return;
-    }
-    reg().gauges.insert(name.to_string(), v);
-}
-
-/// Record one nanosecond observation into the histogram `name`. No-op
-/// while disabled.
-pub fn hist_record_ns(name: &str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    reg()
-        .hists
-        .entry(name.to_string())
-        .or_default()
-        .record(SimDuration::ns(ns));
-}
-
-/// Merge a run-locally accumulated histogram into the histogram `name`.
-/// No-op while disabled.
-pub fn hist_merge(name: &str, h: &LatencyHistogram) {
-    if !enabled() {
-        return;
-    }
-    reg().hists.entry(name.to_string()).or_default().merge(h);
 }
 
 /// Append the point `(t, v)` to the time series `name` (`t` is whatever
@@ -141,10 +99,6 @@ pub fn series_push(name: &str, t: u64, v: f64) {
 pub struct Snapshot {
     /// Monotone counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Log-linear nanosecond histograms by name.
-    pub hists: BTreeMap<String, LatencyHistogram>,
     /// Append-only `(t, v)` series by name.
     pub series: BTreeMap<String, Vec<(u64, f64)>>,
 }
@@ -154,15 +108,6 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// Sum of every counter whose full name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
 }
 
 /// Copy the registry out. Works whether or not recording is enabled.
@@ -170,134 +115,27 @@ pub fn snapshot() -> Snapshot {
     let r = reg();
     Snapshot {
         counters: r.counters.clone(),
-        gauges: r.gauges.clone(),
-        hists: r.hists.clone(),
         series: r.series.clone(),
     }
 }
 
-/// Escape a label value for the Prometheus text format: `\` → `\\`,
-/// `"` → `\"`, newline → `\n`.
-pub fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+fn type_line(out: &mut String, name: &str, kind: &str) {
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Build a labeled metric name, `base{k1="v1",k2="v2"}`, with the values
-/// escaped. With no labels the bare base is returned.
-pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return base.to_string();
-    }
-    let mut out = String::from(base);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-    }
-    out.push('}');
-    out
-}
-
-/// `base{labels}` split into `(base, labels-with-braces-stripped)`.
-fn split_name(name: &str) -> (&str, &str) {
-    match name.split_once('{') {
-        Some((base, rest)) => (base, rest.strip_suffix('}').unwrap_or(rest)),
-        None => (name, ""),
-    }
-}
-
-/// Re-attach `extra` (e.g. `le="128"`) to a possibly-labeled name.
-fn with_label(base: &str, labels: &str, extra: &str) -> String {
-    if labels.is_empty() {
-        format!("{base}{{{extra}}}")
-    } else {
-        format!("{base}{{{labels},{extra}}}")
-    }
-}
-
-fn type_line(out: &mut String, seen: &mut Option<String>, base: &str, kind: &str) {
-    if seen.as_deref() != Some(base) {
-        let _ = writeln!(out, "# TYPE {base} {kind}");
-        *seen = Some(base.to_string());
-    }
-}
-
-/// Render `snap` in Prometheus text exposition format. Counters and
-/// gauges are one sample each; histograms emit cumulative
-/// `_bucket{le="…"}` samples over the occupied log-linear buckets plus
-/// `_sum` and `_count`; series emit one gauge sample per point with the
-/// probe's x-value as a `t` label.
+/// Render `snap` in Prometheus text exposition format: one sample per
+/// counter, and one gauge sample per series point with the probe's
+/// x-value as a `t` label.
 pub fn render_prometheus_snapshot(snap: &Snapshot) -> String {
     let mut out = String::new();
-    let mut seen: Option<String> = None;
     for (name, v) in &snap.counters {
-        let (base, _) = split_name(name);
-        type_line(&mut out, &mut seen, base, "counter");
+        type_line(&mut out, name, "counter");
         let _ = writeln!(out, "{name} {v}");
     }
-    seen = None;
-    for (name, v) in &snap.gauges {
-        let (base, _) = split_name(name);
-        type_line(&mut out, &mut seen, base, "gauge");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    seen = None;
-    for (name, h) in &snap.hists {
-        let (base, labels) = split_name(name);
-        type_line(&mut out, &mut seen, base, "histogram");
-        let mut cum = 0u64;
-        for (i, &c) in h.bucket_counts().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cum += c;
-            let (_, hi) = LatencyHistogram::bucket_bounds(i);
-            let _ = writeln!(
-                out,
-                "{} {cum}",
-                with_label(&format!("{base}_bucket"), labels, &format!("le=\"{hi}\""))
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{} {}",
-            with_label(&format!("{base}_bucket"), labels, "le=\"+Inf\""),
-            h.count()
-        );
-        let sum_name = if labels.is_empty() {
-            format!("{base}_sum")
-        } else {
-            format!("{base}_sum{{{labels}}}")
-        };
-        let count_name = if labels.is_empty() {
-            format!("{base}_count")
-        } else {
-            format!("{base}_count{{{labels}}}")
-        };
-        let _ = writeln!(out, "{sum_name} {}", h.total_ns());
-        let _ = writeln!(out, "{count_name} {}", h.count());
-    }
-    seen = None;
     for (name, points) in &snap.series {
-        let (base, labels) = split_name(name);
-        type_line(&mut out, &mut seen, base, "gauge");
+        type_line(&mut out, name, "gauge");
         for &(t, v) in points {
-            let _ = writeln!(
-                out,
-                "{} {v}",
-                with_label(base, labels, &format!("t=\"{t}\""))
-            );
+            let _ = writeln!(out, "{name}{{t=\"{t}\"}} {v}");
         }
     }
     out
@@ -332,13 +170,9 @@ mod tests {
         reset();
         set_enabled(false);
         counter_add("off_counter", 7);
-        gauge_set("off_gauge", 1.5);
-        hist_record_ns("off_hist", 42);
         series_push("off_series", 0, 1.0);
         let s = snapshot();
         assert!(s.counters.is_empty());
-        assert!(s.gauges.is_empty());
-        assert!(s.hists.is_empty());
         assert!(s.series.is_empty());
     }
 
@@ -346,15 +180,13 @@ mod tests {
     fn reset_clears_between_runs_but_keeps_the_tier() {
         with_clean_registry(|| {
             counter_add("runs_total", 1);
-            hist_record_ns("h", 10);
             series_push("s", 1, 2.0);
-            gauge_set("g", 3.0);
             assert_eq!(snapshot().counter("runs_total"), 1);
             reset();
             assert!(enabled(), "reset must not flip the tier");
             let s = snapshot();
             assert_eq!(s.counter("runs_total"), 0);
-            assert!(s.hists.is_empty() && s.series.is_empty() && s.gauges.is_empty());
+            assert!(s.series.is_empty());
             // A fresh run starts counting from zero, not from stale state.
             counter_add("runs_total", 1);
             assert_eq!(snapshot().counter("runs_total"), 1);
@@ -362,79 +194,15 @@ mod tests {
     }
 
     #[test]
-    fn label_values_escape_backslash_quote_and_newline() {
-        assert_eq!(
-            labeled("m", &[("path", "a\\b\"c\nd")]),
-            "m{path=\"a\\\\b\\\"c\\nd\"}"
-        );
-        assert_eq!(labeled("m", &[]), "m");
-        assert_eq!(
-            labeled("m", &[("a", "1"), ("b", "2")]),
-            "m{a=\"1\",b=\"2\"}"
-        );
-    }
-
-    #[test]
-    fn prometheus_counters_and_gauges_render_with_one_type_line_per_base() {
+    fn prometheus_counters_render_with_a_type_line() {
         with_clean_registry(|| {
-            counter_add(&labeled("evs_total", &[("cause", "fault")]), 2);
-            counter_add(&labeled("evs_total", &[("cause", "suspect")]), 3);
-            gauge_set("depth", 4.0);
-            let text = render_prometheus();
-            assert_eq!(
-                text.matches("# TYPE evs_total counter").count(),
-                1,
-                "{text}"
-            );
-            assert!(text.contains("evs_total{cause=\"fault\"} 2"), "{text}");
-            assert!(text.contains("evs_total{cause=\"suspect\"} 3"), "{text}");
-            assert!(text.contains("# TYPE depth gauge\ndepth 4"), "{text}");
-        });
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative_and_end_at_inf() {
-        with_clean_registry(|| {
-            hist_record_ns("lat", 1);
-            hist_record_ns("lat", 1);
-            hist_record_ns("lat", 1000);
-            let text = render_prometheus();
-            assert!(text.contains("# TYPE lat histogram"), "{text}");
-            // Bucket [1, 2) holds 2 samples; every later occupied bucket
-            // must report the running total, and +Inf the full count.
-            assert!(text.contains("lat_bucket{le=\"2\"} 2"), "{text}");
-            assert!(text.contains("lat_bucket{le=\"1024\"} 3"), "{text}");
-            assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"), "{text}");
-            assert!(text.contains("lat_sum 1002"), "{text}");
-            assert!(text.contains("lat_count 3"), "{text}");
-            // Cumulative counts never decrease down the rendered order.
-            let mut last = 0u64;
-            for line in text.lines().filter(|l| l.starts_with("lat_bucket{le=\"")) {
-                if line.contains("+Inf") {
-                    continue;
-                }
-                let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= last, "non-cumulative: {line}");
-                last = v;
-            }
-        });
-    }
-
-    #[test]
-    fn prometheus_labeled_histograms_merge_le_into_existing_labels() {
-        with_clean_registry(|| {
-            hist_merge(&labeled("adv", &[("shard", "0")]), &{
-                let mut h = LatencyHistogram::new();
-                h.record(SimDuration::ns(2));
-                h
-            });
+            counter_add("evs_total", 2);
+            counter_add("evs_total", 3);
             let text = render_prometheus();
             assert!(
-                text.contains("adv_bucket{shard=\"0\",le=\"3\"} 1"),
+                text.contains("# TYPE evs_total counter\nevs_total 5"),
                 "{text}"
             );
-            assert!(text.contains("adv_sum{shard=\"0\"} 2"), "{text}");
-            assert!(text.contains("adv_count{shard=\"0\"} 1"), "{text}");
         });
     }
 
