@@ -1,7 +1,8 @@
 //! The performance-regression harness behind `--bin perf`.
 //!
 //! Micro benchmarks time the simulator's hottest primitives (event-queue
-//! push/pop, one fabric hop, one blocking remote transaction) with the
+//! push/pop, one fabric hop, one blocking remote transaction, and the
+//! blocking path's TLB walk, cache lookup and range flush) with the
 //! batched [`crate::bencher`]; macro benchmarks time whole smoke-scale
 //! figure runs and report engine throughput in events per second. Results
 //! land in the standard report document (`COHFREE_JSON=BENCH_PERF.json`)
@@ -94,6 +95,58 @@ pub fn micro() -> Vec<BenchResult> {
         at = w.blocking_transaction(at, client, server, MsgKind::ReadReq { bytes: 64 }, addr);
         addr = resv.prefixed_base + (addr + 64 - resv.prefixed_base) % (resv.frames * 4096);
     }));
+
+    // The blocking MemSpace path's per-access layers. TLB walk with
+    // eviction: the default 64-entry TLB cycled over 4,096 mapped pages,
+    // so every translation misses, walks and evicts the LRU entry.
+    let mut pt = cohfree_os::PageTable::new(cohfree_os::TlbConfig::default());
+    for vpn in 0..4_096u64 {
+        pt.map(vpn, (3 << 34) | (vpn * 4096));
+    }
+    let mut vpn = 0u64;
+    out.push(bench_function("micro/tlb_walk_evict", || {
+        std::hint::black_box(pt.translate(vpn * 4096 + 8));
+        vpn = (vpn + 1) % 4_096;
+    }));
+
+    // Cache lookup: the default 2 MiB 16-way cache under uniform random
+    // lines over twice its capacity (about half hits), a quarter writes,
+    // so misses evict and some victims need a write-back. Like the flush
+    // row below, it first runs untimed until the cache is full, so
+    // first-touch page faults on the tag arrays stay out of the batch
+    // sizing.
+    let mut cache = cohfree_mem::Cache::new(cohfree_mem::CacheConfig::default());
+    let capacity = cache.config().capacity_bytes();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut access_step = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        std::hint::black_box(cache.access((x >> 16) % (2 * capacity), x & 3 == 0));
+    };
+    for _ in 0..4 * capacity / 64 {
+        access_step();
+    }
+    out.push(bench_function("micro/cache_access", access_step));
+
+    // Range flush, the swap path's per-eviction cost: each iteration
+    // dirties 8 lines of one page, then flushes the page dirtied 64
+    // iterations earlier (8 resident dirty lines among its 64). One lap
+    // over the 1,024 pages runs untimed first.
+    let mut cache = cohfree_mem::Cache::new(cohfree_mem::CacheConfig::default());
+    let mut page = 0u64;
+    let mut flush_step = || {
+        for line in 0..8 {
+            cache.access(page * 4096 + line * 512, true);
+        }
+        let victim = (page + 1_024 - 64) % 1_024;
+        std::hint::black_box(cache.flush_range(victim * 4096, 4096));
+        page = (page + 1) % 1_024;
+    };
+    for _ in 0..1_024 {
+        flush_step();
+    }
+    out.push(bench_function("micro/cache_flush_range", flush_step));
 
     out
 }

@@ -16,8 +16,8 @@ use cohfree_sim::stats::Counter;
 use cohfree_sim::FastMap;
 
 /// Log2 of the residency-group size in lines: groups of 64 lines (one 4 KiB
-/// page at 64 B lines) get a resident-line count so range flushes can skip
-/// groups with nothing cached.
+/// page at 64 B lines) get a `u64` bitmask of resident lines (bit
+/// `line index & 63`) so range flushes visit only lines that are cached.
 const GROUP_SHIFT: u32 = 6;
 
 /// Cache geometry.
@@ -63,24 +63,32 @@ pub enum CacheOutcome {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    /// LRU stamp: larger = more recently used.
-    lru: u64,
-}
-
 /// A set-associative write-back cache over physical addresses.
+///
+/// Tags, LRU stamps and dirty bits are flat `sets × ways` arrays, set-major;
+/// a set's live lines are its first `fill[set]` slots. The clock ticks on
+/// every touch, so LRU stamps are unique and the victim is the unique
+/// minimum — slot order within a set never affects any outcome.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    /// Resident lines per 64-line group (key: line index >> GROUP_SHIFT).
-    /// Lets `flush_range` skip groups with no cached lines — the dominant
+    ways: usize,
+    /// log2(line_bytes): address → line index.
+    line_shift: u32,
+    /// log2(sets): line index → tag.
+    set_shift: u32,
+    tags: Vec<u64>,
+    /// LRU stamps: larger = more recently used.
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
+    /// Live lines per set.
+    fill: Vec<u32>,
+    /// Bitmask of resident lines per 64-line group (key: line index >>
+    /// GROUP_SHIFT; bit: line index & 63). Lets `flush_range` visit only
+    /// resident lines and skip empty groups with one probe — the dominant
     /// case when the swap path flushes a cold victim page on every
     /// page-cache eviction.
-    group_lines: FastMap<u64, u32>,
+    group_lines: FastMap<u64, u64>,
     clock: u64,
     hits: Counter,
     misses: Counter,
@@ -102,10 +110,15 @@ impl Cache {
             "set count must be a power of two"
         );
         assert!(cfg.ways >= 1, "cache needs at least one way");
+        let slots = cfg.sets as usize * cfg.ways as usize;
         Cache {
-            sets: (0..cfg.sets)
-                .map(|_| Vec::with_capacity(cfg.ways as usize))
-                .collect(),
+            ways: cfg.ways as usize,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: cfg.sets.trailing_zeros(),
+            tags: vec![0; slots],
+            lru: vec![0; slots],
+            dirty: vec![false; slots],
+            fill: vec![0; cfg.sets as usize],
             group_lines: FastMap::default(),
             cfg,
             clock: 0,
@@ -120,95 +133,96 @@ impl Cache {
         self.cfg
     }
 
+    /// Line index (address / line size) of `addr`.
     #[inline]
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.cfg.line_bytes as u64 - 1)
+    fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
     }
 
     #[inline]
-    fn set_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.line_bytes as u64) & (self.cfg.sets as u64 - 1)) as usize
+    fn set_of(&self, li: u64) -> usize {
+        (li & (self.cfg.sets as u64 - 1)) as usize
     }
 
     #[inline]
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / self.cfg.line_bytes as u64 / self.cfg.sets as u64
+    fn tag_of(&self, li: u64) -> u64 {
+        li >> self.set_shift
     }
 
-    /// Reconstruct a line-aligned address from (set, tag).
-    fn addr_of(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.cfg.sets as u64 + set as u64) * self.cfg.line_bytes as u64
-    }
-
-    /// Track a line fill in the per-group residency count.
+    /// Line index of the line in `slot` of `set`.
     #[inline]
-    fn note_fill(&mut self, li: u64) {
-        *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
+    fn line_in(&self, set: usize, slot: usize) -> u64 {
+        (self.tags[slot] << self.set_shift) | set as u64
     }
 
-    /// Track a line eviction in the per-group residency count.
+    /// Slot holding line `li`, if resident.
     #[inline]
-    fn note_evict(&mut self, li: u64) {
-        let g = li >> GROUP_SHIFT;
-        match self.group_lines.get_mut(&g) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
+    fn find(&self, li: u64) -> Option<usize> {
+        let set = self.set_of(li);
+        let base = set * self.ways;
+        let tag = self.tag_of(li);
+        self.tags[base..base + self.fill[set] as usize]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|i| base + i)
+    }
+
+    /// Fill line `li` (known absent), evicting the set's LRU line when the
+    /// set is full. Returns the evicted line's index and dirtiness.
+    fn fill_line(&mut self, li: u64, dirty: bool) -> Option<(u64, bool)> {
+        let set = self.set_of(li);
+        let base = set * self.ways;
+        let n = self.fill[set] as usize;
+        let (slot, evicted) = if n < self.ways {
+            self.fill[set] += 1;
+            (base + n, None)
+        } else {
+            let slot = base
+                + self.lru[base..base + self.ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &s)| s)
+                    .map(|(i, _)| i)
+                    .expect("a set has at least one way");
+            (slot, Some((self.line_in(set, slot), self.dirty[slot])))
+        };
+        self.tags[slot] = self.tag_of(li);
+        self.lru[slot] = self.clock;
+        self.dirty[slot] = dirty;
+        *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) |= 1 << (li & 63);
+        if let Some((victim, _)) = evicted {
+            let g = victim >> GROUP_SHIFT;
+            let mask = self
+                .group_lines
+                .get_mut(&g)
+                .expect("a resident line's group is tracked");
+            *mask &= !(1 << (victim & 63));
+            if *mask == 0 {
                 self.group_lines.remove(&g);
             }
-            None => debug_assert!(false, "evicting a line from an untracked group"),
         }
+        evicted
     }
 
     /// Look up the line containing `addr`; fill on miss. `write` marks the
     /// line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
-        let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
-        let tag = self.tag_of(la);
-        let ways = self.cfg.ways as usize;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = self.clock;
-            line.dirty |= write;
+        let li = self.line_of(addr);
+        if let Some(slot) = self.find(li) {
+            self.lru[slot] = self.clock;
+            self.dirty[slot] |= write;
             self.hits.inc();
             return CacheOutcome::Hit;
         }
-
         self.misses.inc();
-        let mut evicted_line = None;
-        let victim_writeback = if set.len() < ways {
-            set.push(Line {
-                tag,
-                dirty: write,
-                lru: self.clock,
-            });
-            None
-        } else {
-            let (vi, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty set");
-            let victim = set[vi];
-            set[vi] = Line {
-                tag,
-                dirty: write,
-                lru: self.clock,
-            };
-            evicted_line = Some(victim.tag * self.cfg.sets as u64 + set_idx as u64);
-            if victim.dirty {
+        let victim_writeback = match self.fill_line(li, write) {
+            Some((victim, true)) => {
                 self.writebacks.inc();
-                Some(self.addr_of(set_idx, victim.tag))
-            } else {
-                None
+                Some(victim << self.line_shift)
             }
+            _ => None,
         };
-        self.note_fill(la / self.cfg.line_bytes as u64);
-        if let Some(li) = evicted_line {
-            self.note_evict(li);
-        }
         CacheOutcome::Miss { victim_writeback }
     }
 
@@ -217,52 +231,24 @@ impl Cache {
     /// level's dirty victim. Returns a displaced dirty victim, if any.
     pub fn install_dirty(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
-        let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
-        let tag = self.tag_of(la);
-        let ways = self.cfg.ways as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = self.clock;
-            line.dirty = true;
+        let li = self.line_of(addr);
+        if let Some(slot) = self.find(li) {
+            self.lru[slot] = self.clock;
+            self.dirty[slot] = true;
             return None;
         }
-        if set.len() < ways {
-            set.push(Line {
-                tag,
-                dirty: true,
-                lru: self.clock,
-            });
-            self.note_fill(la / self.cfg.line_bytes as u64);
-            return None;
-        }
-        let (vi, _) = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .expect("non-empty set");
-        let victim = set[vi];
-        set[vi] = Line {
-            tag,
-            dirty: true,
-            lru: self.clock,
-        };
-        let victim_li = victim.tag * self.cfg.sets as u64 + set_idx as u64;
-        self.note_fill(la / self.cfg.line_bytes as u64);
-        self.note_evict(victim_li);
-        if victim.dirty {
-            self.writebacks.inc();
-            Some(self.addr_of(set_idx, victim.tag))
-        } else {
-            None
+        match self.fill_line(li, true) {
+            Some((victim, true)) => {
+                self.writebacks.inc();
+                Some(victim << self.line_shift)
+            }
+            _ => None,
         }
     }
 
     /// True if the line containing `addr` is present (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
-        let la = self.line_addr(addr);
-        let tag = self.tag_of(la);
-        self.sets[self.set_of(la)].iter().any(|l| l.tag == tag)
+        self.find(self.line_of(addr)).is_some()
     }
 
     /// Drop every line, returning the addresses of dirty ones (the caller
@@ -270,12 +256,14 @@ impl Cache {
     /// parallel phase.
     pub fn flush_all(&mut self) -> Vec<u64> {
         let mut dirty = Vec::new();
-        for set_idx in 0..self.sets.len() {
-            for line in std::mem::take(&mut self.sets[set_idx]) {
-                if line.dirty {
-                    dirty.push(self.addr_of(set_idx, line.tag));
+        for set in 0..self.fill.len() {
+            let base = set * self.ways;
+            for slot in base..base + self.fill[set] as usize {
+                if self.dirty[slot] {
+                    dirty.push(self.line_in(set, slot) << self.line_shift);
                 }
             }
+            self.fill[set] = 0;
         }
         self.group_lines.clear();
         self.writebacks.add(dirty.len() as u64);
@@ -287,59 +275,55 @@ impl Cache {
     pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
         let mut dirty = Vec::new();
         let lb = self.cfg.line_bytes as u64;
-        let nsets = self.cfg.sets as u64;
-        let set_shift = nsets.trailing_zeros();
-        // Walk the range one residency group at a time: a group with no
-        // resident lines is skipped with a single map probe — the dominant
-        // case when the swap path flushes a cold victim page on every
-        // page-cache eviction. Within a live group, each line maps to
-        // exactly one (set, tag), so it is a targeted probe per line, not a
-        // whole-cache scan.
+        // Lines whose first byte lies in the range, one residency group at
+        // a time; only the resident lines a group's bitmask names are
+        // visited, in ascending order, so `dirty` comes out sorted.
         let first_line = base.div_ceil(lb);
-        let end_line = (base + len).div_ceil(lb).max(first_line);
-        let first_group = first_line >> GROUP_SHIFT;
-        let last_group = if end_line == first_line {
-            first_group
-        } else {
-            ((end_line - 1) >> GROUP_SHIFT) + 1
-        };
-        for g in first_group..last_group {
-            let Some(&count) = self.group_lines.get(&g) else {
+        let end_line = (base + len).div_ceil(lb);
+        if end_line <= first_line {
+            return dirty;
+        }
+        for g in first_line >> GROUP_SHIFT..=(end_line - 1) >> GROUP_SHIFT {
+            let Some(&mask) = self.group_lines.get(&g) else {
                 continue;
             };
-            let lo = (g << GROUP_SHIFT).max(first_line);
-            let hi = ((g + 1) << GROUP_SHIFT).min(end_line);
-            let whole_group = hi - lo == 1 << GROUP_SHIFT;
-            let mut removed = 0u32;
-            for li in lo..hi {
-                if whole_group && removed == count {
-                    break;
-                }
-                let set_idx = (li & (nsets - 1)) as usize;
-                let tag = li >> set_shift;
-                let set = &mut self.sets[set_idx];
-                if let Some(pos) = set.iter().position(|l| l.tag == tag) {
-                    let line = set.swap_remove(pos);
-                    if line.dirty {
-                        dirty.push(li * lb);
-                    }
-                    removed += 1;
-                }
+            // Bits [lo, hi) of this group's mask lie in the range.
+            let lo = first_line.max(g << GROUP_SHIFT) - (g << GROUP_SHIFT);
+            let hi = end_line.min((g + 1) << GROUP_SHIFT) - (g << GROUP_SHIFT);
+            let in_range = (u64::MAX >> (64 - hi)) & (u64::MAX << lo);
+            let mut victims = mask & in_range;
+            if victims == 0 {
+                continue;
             }
-            if removed == count {
+            if mask & !in_range == 0 {
                 self.group_lines.remove(&g);
-            } else if removed > 0 {
-                *self.group_lines.get_mut(&g).expect("group tracked") -= removed;
+            } else {
+                self.group_lines.insert(g, mask & !in_range);
+            }
+            dirty.reserve(victims.count_ones() as usize);
+            while victims != 0 {
+                let li = (g << GROUP_SHIFT) | u64::from(victims.trailing_zeros());
+                victims &= victims - 1;
+                let slot = self.find(li).expect("a masked line is resident");
+                if self.dirty[slot] {
+                    dirty.push(li << self.line_shift);
+                }
+                // Move the set's last live line into the hole.
+                let set = self.set_of(li);
+                self.fill[set] -= 1;
+                let last = set * self.ways + self.fill[set] as usize;
+                self.tags[slot] = self.tags[last];
+                self.lru[slot] = self.lru[last];
+                self.dirty[slot] = self.dirty[last];
             }
         }
         self.writebacks.add(dirty.len() as u64);
-        dirty.sort_unstable();
         dirty
     }
 
     /// Lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 
     /// Hits so far.
@@ -381,9 +365,22 @@ mod tests {
         })
     }
 
-    /// The group residency counts must mirror the sets exactly through any
-    /// access/install/flush interleaving, and flush_range must behave
-    /// identically to a brute-force scan of every set.
+    /// Resident `(line index, dirty, lru stamp)` triples, sorted.
+    fn lines(c: &Cache) -> Vec<(u64, bool, u64)> {
+        let mut v = Vec::new();
+        for set in 0..c.fill.len() {
+            let base = set * c.ways;
+            for slot in base..base + c.fill[set] as usize {
+                v.push((c.line_in(set, slot), c.dirty[slot], c.lru[slot]));
+            }
+        }
+        v.sort_unstable();
+        v
+    }
+
+    /// The group residency bitmasks must mirror the tag arrays exactly
+    /// through any access/install/flush interleaving, and flush_range must
+    /// leave no line of its range behind.
     #[test]
     fn group_residency_tracks_sets_through_random_ops() {
         let mut rng = cohfree_sim::Rng::new(77);
@@ -407,11 +404,9 @@ mod tests {
                     for addr in dirty {
                         assert!(addr >= base && addr < base + 4096);
                     }
-                    for set_idx in 0..16u64 {
-                        for line in &c.sets[set_idx as usize] {
-                            let addr = (line.tag * 16 + set_idx) * 64;
-                            assert!(addr < base || addr >= base + 4096, "line survived flush");
-                        }
+                    for (li, _, _) in lines(&c) {
+                        let addr = li * 64;
+                        assert!(addr < base || addr >= base + 4096, "line survived flush");
                     }
                 }
                 _ => {
@@ -419,17 +414,276 @@ mod tests {
                     assert_eq!(c.resident_lines(), 0);
                 }
             }
-            // Rebuild the residency counts from the sets and compare.
-            let mut expect: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-            for (set_idx, set) in c.sets.iter().enumerate() {
-                for line in set {
-                    let li = line.tag * 16 + set_idx as u64;
-                    *expect.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
-                }
+            // Rebuild the residency bitmasks from the tag arrays and compare.
+            let mut expect: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+            for (li, _, _) in lines(&c) {
+                *expect.entry(li >> GROUP_SHIFT).or_insert(0) |= 1 << (li & 63);
             }
-            let got: std::collections::HashMap<u64, u32> =
+            let got: std::collections::HashMap<u64, u64> =
                 c.group_lines.iter().map(|(&k, &v)| (k, v)).collect();
             assert_eq!(got, expect);
+        }
+    }
+
+    /// The `Vec<Vec<Line>>` cache with per-group line counts that the flat
+    /// tag arrays replaced, kept as the reference model for the
+    /// differential test below.
+    mod reference {
+        use cohfree_sim::FastMap;
+
+        const GROUP_SHIFT: u32 = 6;
+
+        #[derive(Debug, Clone, Copy)]
+        pub struct Line {
+            pub tag: u64,
+            pub dirty: bool,
+            pub lru: u64,
+        }
+
+        pub struct RefCache {
+            line_bytes: u64,
+            nsets: u64,
+            ways: usize,
+            pub sets: Vec<Vec<Line>>,
+            group_lines: FastMap<u64, u32>,
+            clock: u64,
+            pub hits: u64,
+            pub misses: u64,
+            pub writebacks: u64,
+        }
+
+        impl RefCache {
+            pub fn new(line_bytes: u64, nsets: u64, ways: usize) -> RefCache {
+                RefCache {
+                    line_bytes,
+                    nsets,
+                    ways,
+                    sets: (0..nsets).map(|_| Vec::with_capacity(ways)).collect(),
+                    group_lines: FastMap::default(),
+                    clock: 0,
+                    hits: 0,
+                    misses: 0,
+                    writebacks: 0,
+                }
+            }
+
+            /// `(line address, set, tag)` of `addr`.
+            fn locate(&self, addr: u64) -> (u64, usize, u64) {
+                let la = addr & !(self.line_bytes - 1);
+                let set = ((la / self.line_bytes) & (self.nsets - 1)) as usize;
+                (la, set, la / self.line_bytes / self.nsets)
+            }
+
+            fn addr_of(&self, set: usize, tag: u64) -> u64 {
+                (tag * self.nsets + set as u64) * self.line_bytes
+            }
+
+            fn note_fill(&mut self, li: u64) {
+                *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
+            }
+
+            fn note_evict(&mut self, li: u64) {
+                let g = li >> GROUP_SHIFT;
+                match self.group_lines.get_mut(&g) {
+                    Some(c) if *c > 1 => *c -= 1,
+                    Some(_) => {
+                        self.group_lines.remove(&g);
+                    }
+                    None => panic!("evicting a line from an untracked group"),
+                }
+            }
+
+            /// `(hit, victim_writeback)`.
+            pub fn access(&mut self, addr: u64, write: bool) -> (bool, Option<u64>) {
+                self.clock += 1;
+                let (la, set_idx, tag) = self.locate(addr);
+                let clock = self.clock;
+                if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
+                    line.lru = clock;
+                    line.dirty |= write;
+                    self.hits += 1;
+                    return (true, None);
+                }
+                self.misses += 1;
+                (false, self.fill(la, set_idx, tag, write))
+            }
+
+            pub fn install_dirty(&mut self, addr: u64) -> Option<u64> {
+                self.clock += 1;
+                let (la, set_idx, tag) = self.locate(addr);
+                let clock = self.clock;
+                if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
+                    line.lru = clock;
+                    line.dirty = true;
+                    return None;
+                }
+                self.fill(la, set_idx, tag, true)
+            }
+
+            fn fill(&mut self, la: u64, set_idx: usize, tag: u64, dirty: bool) -> Option<u64> {
+                let new = Line {
+                    tag,
+                    dirty,
+                    lru: self.clock,
+                };
+                let set = &mut self.sets[set_idx];
+                let victim = if set.len() < self.ways {
+                    set.push(new);
+                    None
+                } else {
+                    let (vi, _) = set
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.lru)
+                        .expect("non-empty set");
+                    Some(std::mem::replace(&mut set[vi], new))
+                };
+                self.note_fill(la / self.line_bytes);
+                let victim = victim?;
+                self.note_evict(victim.tag * self.nsets + set_idx as u64);
+                victim.dirty.then(|| {
+                    self.writebacks += 1;
+                    self.addr_of(set_idx, victim.tag)
+                })
+            }
+
+            pub fn flush_all(&mut self) -> Vec<u64> {
+                let mut dirty = Vec::new();
+                for set_idx in 0..self.sets.len() {
+                    for line in std::mem::take(&mut self.sets[set_idx]) {
+                        if line.dirty {
+                            dirty.push(self.addr_of(set_idx, line.tag));
+                        }
+                    }
+                }
+                self.group_lines.clear();
+                self.writebacks += dirty.len() as u64;
+                dirty.sort_unstable();
+                dirty
+            }
+
+            pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
+                let mut dirty = Vec::new();
+                let lb = self.line_bytes;
+                let set_shift = self.nsets.trailing_zeros();
+                let first_line = base.div_ceil(lb);
+                let end_line = (base + len).div_ceil(lb).max(first_line);
+                let first_group = first_line >> GROUP_SHIFT;
+                let last_group = if end_line == first_line {
+                    first_group
+                } else {
+                    ((end_line - 1) >> GROUP_SHIFT) + 1
+                };
+                for g in first_group..last_group {
+                    let Some(&count) = self.group_lines.get(&g) else {
+                        continue;
+                    };
+                    let lo = (g << GROUP_SHIFT).max(first_line);
+                    let hi = ((g + 1) << GROUP_SHIFT).min(end_line);
+                    let whole_group = hi - lo == 1 << GROUP_SHIFT;
+                    let mut removed = 0u32;
+                    for li in lo..hi {
+                        if whole_group && removed == count {
+                            break;
+                        }
+                        let set = &mut self.sets[(li & (self.nsets - 1)) as usize];
+                        if let Some(pos) = set.iter().position(|l| l.tag == li >> set_shift) {
+                            if set.swap_remove(pos).dirty {
+                                dirty.push(li * lb);
+                            }
+                            removed += 1;
+                        }
+                    }
+                    if removed == count {
+                        self.group_lines.remove(&g);
+                    } else if removed > 0 {
+                        *self.group_lines.get_mut(&g).expect("group tracked") -= removed;
+                    }
+                }
+                self.writebacks += dirty.len() as u64;
+                dirty.sort_unstable();
+                dirty
+            }
+
+            /// Resident `(line index, dirty, lru stamp)` triples, sorted.
+            pub fn lines(&self) -> Vec<(u64, bool, u64)> {
+                let mut v: Vec<_> = self
+                    .sets
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(set, lines)| {
+                        lines
+                            .iter()
+                            .map(move |l| (l.tag * self.nsets + set as u64, l.dirty, l.lru))
+                    })
+                    .collect();
+                v.sort_unstable();
+                v
+            }
+        }
+    }
+
+    /// Seeded random access/install_dirty/probe/flush_range/flush_all
+    /// streams over several geometries: the flat tag-array cache returns
+    /// the same outcomes, victims and write-back lists, keeps the same
+    /// resident lines (tags, dirtiness, stamps) and counts the same hits,
+    /// misses and writebacks as the `Vec<Vec<Line>>` reference.
+    #[test]
+    fn cache_matches_the_nested_vec_reference() {
+        for (seed, (sets, ways)) in [(1u32, 1u32), (4, 2), (16, 4), (64, 16), (2, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = cohfree_sim::Rng::new(0xCAC4E0 + seed as u64);
+            let mut c = Cache::new(CacheConfig {
+                line_bytes: 64,
+                sets,
+                ways,
+            });
+            let mut r = reference::RefCache::new(64, sets as u64, ways as usize);
+            // Addresses span a few times the capacity, so sets stay full.
+            let span = 64 * sets as u64 * ways as u64 * 4 + 4096;
+            for _ in 0..20_000 {
+                let addr = rng.below(span);
+                match rng.below(100) {
+                    0..=69 => {
+                        let write = rng.below(3) == 0;
+                        let want = match r.access(addr, write) {
+                            (true, _) => CacheOutcome::Hit,
+                            (false, victim_writeback) => CacheOutcome::Miss { victim_writeback },
+                        };
+                        assert_eq!(c.access(addr, write), want);
+                    }
+                    70..=81 => assert_eq!(c.install_dirty(addr), r.install_dirty(addr)),
+                    82..=87 => {
+                        let resident = r.lines().iter().any(|&(li, _, _)| li == addr / 64);
+                        assert_eq!(c.probe(addr), resident);
+                    }
+                    88..=98 => {
+                        // Whole pages, plus unaligned bases and lengths from
+                        // empty to several groups.
+                        let len = match rng.below(3) {
+                            0 => 4096,
+                            1 => rng.below(200),
+                            _ => rng.below(3 * 4096),
+                        };
+                        let base = if rng.below(2) == 0 {
+                            addr & !4095
+                        } else {
+                            addr
+                        };
+                        assert_eq!(c.flush_range(base, len), r.flush_range(base, len));
+                    }
+                    _ => assert_eq!(c.flush_all(), r.flush_all()),
+                }
+                assert_eq!(lines(&c), r.lines());
+            }
+            assert_eq!(
+                (c.hits(), c.misses(), c.writebacks()),
+                (r.hits, r.misses, r.writebacks)
+            );
+            let resident: usize = r.sets.iter().map(Vec::len).sum();
+            assert_eq!(c.resident_lines(), resident);
         }
     }
 
@@ -437,10 +691,13 @@ mod tests {
     fn geometry_round_trips() {
         let c = tiny();
         for addr in [0u64, 64, 4096, 123_456, 1 << 40] {
-            let la = c.line_addr(addr);
-            let set = c.set_of(la);
-            let tag = c.tag_of(la);
-            assert_eq!(c.addr_of(set, tag), la, "addr {addr:#x}");
+            let li = c.line_of(addr);
+            let (set, tag) = (c.set_of(li), c.tag_of(li));
+            assert_eq!(
+                ((tag << c.set_shift) | set as u64) << c.line_shift,
+                addr & !63,
+                "addr {addr:#x}"
+            );
         }
     }
 

@@ -76,11 +76,21 @@ impl Default for TlbConfig {
 }
 
 /// Fully-associative LRU TLB.
+///
+/// Entries live in parallel slot arrays (`vpns`/`phys`/`stamps`) indexed by
+/// a `vpn → slot` map: a hit is one map probe, and choosing the LRU victim
+/// scans only the `entries`-long `stamps` slice. The clock ticks on every
+/// lookup and insert, so stamps are unique and the victim is the unique
+/// minimum — slot order never affects which entry is evicted.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// vpn -> (phys page base, lru stamp)
-    map: FastMap<u64, (u64, u64)>,
+    /// vpn -> slot in the arrays below.
+    slots: FastMap<u64, usize>,
+    vpns: Vec<u64>,
+    phys: Vec<u64>,
+    /// LRU stamps: larger = more recently used.
+    stamps: Vec<u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -92,7 +102,10 @@ impl Tlb {
         assert!(cfg.entries > 0, "TLB needs at least one entry");
         Tlb {
             cfg,
-            map: FastMap::default(),
+            slots: FastMap::default(),
+            vpns: Vec::with_capacity(cfg.entries),
+            phys: Vec::with_capacity(cfg.entries),
+            stamps: Vec::with_capacity(cfg.entries),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -102,11 +115,11 @@ impl Tlb {
     /// Look up a virtual page number; LRU-refresh on hit.
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.clock += 1;
-        match self.map.get_mut(&vpn) {
-            Some((phys, stamp)) => {
-                *stamp = self.clock;
+        match self.slots.get(&vpn) {
+            Some(&slot) => {
+                self.stamps[slot] = self.clock;
                 self.hits += 1;
-                Some(*phys)
+                Some(self.phys[slot])
             }
             None => {
                 self.misses += 1;
@@ -118,22 +131,51 @@ impl Tlb {
     /// Install a translation (evicting the LRU entry if full).
     pub fn insert(&mut self, vpn: u64, phys_page: u64) {
         self.clock += 1;
-        if self.map.len() >= self.cfg.entries && !self.map.contains_key(&vpn) {
-            if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, s))| *s) {
-                self.map.remove(&victim);
-            }
+        if let Some(&slot) = self.slots.get(&vpn) {
+            self.phys[slot] = phys_page;
+            self.stamps[slot] = self.clock;
+            return;
         }
-        self.map.insert(vpn, (phys_page, self.clock));
+        if self.vpns.len() < self.cfg.entries {
+            self.slots.insert(vpn, self.vpns.len());
+            self.vpns.push(vpn);
+            self.phys.push(phys_page);
+            self.stamps.push(self.clock);
+            return;
+        }
+        let victim = self
+            .stamps
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &s)| s)
+            .map(|(slot, _)| slot)
+            .expect("a full TLB has entries");
+        self.slots.remove(&self.vpns[victim]);
+        self.slots.insert(vpn, victim);
+        self.vpns[victim] = vpn;
+        self.phys[victim] = phys_page;
+        self.stamps[victim] = self.clock;
     }
 
     /// Drop a translation (on unmap / swap-out).
     pub fn invalidate(&mut self, vpn: u64) {
-        self.map.remove(&vpn);
+        let Some(slot) = self.slots.remove(&vpn) else {
+            return;
+        };
+        self.vpns.swap_remove(slot);
+        self.phys.swap_remove(slot);
+        self.stamps.swap_remove(slot);
+        if let Some(&moved) = self.vpns.get(slot) {
+            self.slots.insert(moved, slot);
+        }
     }
 
     /// Drop everything (context switch / global shootdown).
     pub fn flush(&mut self) {
-        self.map.clear();
+        self.slots.clear();
+        self.vpns.clear();
+        self.phys.clear();
+        self.stamps.clear();
     }
 
     /// Hits so far.
@@ -148,12 +190,12 @@ impl Tlb {
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.vpns.len()
     }
 
     /// True if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.vpns.is_empty()
     }
 }
 
@@ -272,6 +314,116 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The map-scan TLB the slot-array [`Tlb`] replaced, kept as the
+    /// reference model for the differential test below.
+    struct RefTlb {
+        entries: usize,
+        /// vpn -> (phys page base, lru stamp)
+        map: FastMap<u64, (u64, u64)>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefTlb {
+        fn new(entries: usize) -> RefTlb {
+            RefTlb {
+                entries,
+                map: FastMap::default(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn lookup(&mut self, vpn: u64) -> Option<u64> {
+            self.clock += 1;
+            match self.map.get_mut(&vpn) {
+                Some((phys, stamp)) => {
+                    *stamp = self.clock;
+                    self.hits += 1;
+                    Some(*phys)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, vpn: u64, phys_page: u64) {
+            self.clock += 1;
+            if self.map.len() >= self.entries && !self.map.contains_key(&vpn) {
+                if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, s))| *s) {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(vpn, (phys_page, self.clock));
+        }
+
+        fn entries(&self) -> Vec<(u64, u64, u64)> {
+            let mut v: Vec<_> = self.map.iter().map(|(&k, &(p, s))| (k, p, s)).collect();
+            v.sort_unstable();
+            v
+        }
+    }
+
+    /// Resident `(vpn, phys, stamp)` triples, sorted, after checking that
+    /// the slot index and the slot arrays agree.
+    fn entries(t: &Tlb) -> Vec<(u64, u64, u64)> {
+        assert_eq!(t.slots.len(), t.vpns.len());
+        assert_eq!(t.phys.len(), t.vpns.len());
+        assert_eq!(t.stamps.len(), t.vpns.len());
+        for (slot, vpn) in t.vpns.iter().enumerate() {
+            assert_eq!(t.slots[vpn], slot, "slot index stale for vpn {vpn}");
+        }
+        let mut v: Vec<_> = (0..t.vpns.len())
+            .map(|i| (t.vpns[i], t.phys[i], t.stamps[i]))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Seeded random lookup/insert/invalidate/flush streams: the slot-array
+    /// TLB returns the same translations, evicts the same victims (same
+    /// resident entries and stamps after every op) and counts the same
+    /// hits and misses as the map-scan reference.
+    #[test]
+    fn tlb_matches_the_map_scan_reference() {
+        for seed in 0..12u64 {
+            let mut rng = cohfree_sim::Rng::new(0x71B0 + seed);
+            let size = [1usize, 2, 7, 64][seed as usize % 4];
+            let span = size as u64 * 3 + 2;
+            let mut tlb = Tlb::new(TlbConfig { entries: size });
+            let mut reference = RefTlb::new(size);
+            for _ in 0..20_000 {
+                let vpn = rng.below(span);
+                match rng.below(100) {
+                    0..=49 => assert_eq!(tlb.lookup(vpn), reference.lookup(vpn)),
+                    50..=84 => {
+                        let phys = rng.below(1 << 20) * PAGE_BYTES;
+                        tlb.insert(vpn, phys);
+                        reference.insert(vpn, phys);
+                    }
+                    85..=98 => {
+                        tlb.invalidate(vpn);
+                        reference.map.remove(&vpn);
+                    }
+                    _ => {
+                        tlb.flush();
+                        reference.map.clear();
+                    }
+                }
+                assert_eq!(entries(&tlb), reference.entries());
+                assert!(tlb.len() <= size);
+            }
+            assert_eq!(
+                (tlb.hits(), tlb.misses()),
+                (reference.hits, reference.misses)
+            );
+        }
+    }
 
     #[test]
     fn unmapped_translation() {

@@ -62,6 +62,7 @@ pub fn encode(home: NodeId, offset: u64) -> u64 {
 }
 
 /// Split a prefixed address into `(prefix, offset)`; prefix 0 = local.
+#[inline]
 pub fn split(addr: u64) -> (u16, u64) {
     (
         (addr >> NODE_ADDR_BITS) as u16,
@@ -70,6 +71,7 @@ pub fn split(addr: u64) -> (u16, u64) {
 }
 
 /// Decode an address as seen by node `me`.
+#[inline]
 pub fn decode(me: NodeId, addr: u64) -> RemoteRef {
     let (prefix, offset) = split(addr);
     if prefix == 0 {
@@ -86,12 +88,14 @@ pub fn decode(me: NodeId, addr: u64) -> RemoteRef {
 
 /// What the receiving RMC does on arrival: clear the 14 prefix bits,
 /// yielding the home node's local physical address.
+#[inline]
 pub fn strip_prefix(addr: u64) -> u64 {
     addr & (NODE_WINDOW_BYTES - 1)
 }
 
 impl RemoteRef {
     /// The home node for a remote reference.
+    #[inline]
     pub fn home(self) -> Option<NodeId> {
         match self {
             RemoteRef::Remote { home, .. } => Some(home),
@@ -104,6 +108,7 @@ impl RemoteRef {
     /// # Panics
     /// Panics on [`RemoteRef::Loopback`] — the reservation mechanism
     /// guarantees this never happens in practice (Section III-B).
+    #[inline]
     pub fn expect_no_loopback(self) -> RemoteRef {
         assert!(
             !matches!(self, RemoteRef::Loopback { .. }),
