@@ -1,9 +1,10 @@
 //! The performance-regression harness behind `--bin perf`.
 //!
 //! Micro benchmarks time the simulator's hottest primitives (event-queue
-//! push/pop, one fabric hop, one blocking remote transaction, and the
-//! blocking path's TLB walk, cache lookup and range flush) with the
-//! batched [`crate::bencher`]; macro benchmarks time whole smoke-scale
+//! push/pop under a generic and a serving-world-shaped load, one fabric
+//! hop, one blocking remote transaction, and the blocking path's TLB
+//! walk, cache lookup and range flush) with the batched
+//! [`crate::bencher`]; macro benchmarks time whole smoke-scale
 //! figure runs and report engine throughput in events per second. Results
 //! land in the standard report document (`COHFREE_JSON=BENCH_PERF.json`)
 //! and can be gated against a checked-in baseline with a wide,
@@ -59,6 +60,39 @@ pub fn micro() -> Vec<BenchResult> {
         let dly = [7u64, 130, 950, 17_000, 70_000][(i % 5) as usize];
         q.schedule(t + SimDuration::ns(dly), v);
         i += 1;
+    }));
+
+    // Event queue under the serving world's traffic: 55 pending events
+    // with 56-byte payloads (the size of the World's event), content-keyed
+    // (non-monotone u128 keys). 35 of them are message hops that
+    // reschedule one hop (80-100 ns) ahead; 20 are arrival wakes that
+    // reschedule 2-6 us out.
+    let mut q: EventQueue<[u64; 7]> = EventQueue::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rand = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for id in 0..55u64 {
+        let r = rand();
+        q.schedule_keyed(SimTime(r % 90_000), (r as u128) << 8 | id as u128, [id; 7]);
+    }
+    out.push(bench_function("micro/event_queue_world_shape", || {
+        let (at, key, ev) = q.pop_entry().expect("queue stays non-empty");
+        let r = rand();
+        let delay_ns = if ev[0] < 20 {
+            2_000 + r % 4_000
+        } else {
+            80 + r % 21
+        };
+        let key = (key >> 8).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ r as u128;
+        q.schedule_keyed(
+            at + SimDuration::ns(delay_ns),
+            key << 8 | ev[0] as u128,
+            std::hint::black_box(ev),
+        );
     }));
 
     // One fabric hop: forwarding step of a 64 B read between neighbours,

@@ -34,7 +34,7 @@
 //! order, so traffic on one link never changes which messages die on
 //! another.
 
-use crate::msg::{Message, NodeId};
+use crate::msg::{Message, NodeId, HEADER_BYTES};
 use crate::topology::Topology;
 use cohfree_sim::queueing::FifoServer;
 use cohfree_sim::stats::Counter;
@@ -174,12 +174,22 @@ pub struct FabricCounters {
     unroutable: Counter,
 }
 
+/// Largest wire size whose serialization time [`FabricShared`] tabulates:
+/// an 8 KiB payload plus the header. Larger messages use the formula.
+const SER_TABLE_MAX_WIRE: u32 = 8192 + HEADER_BYTES;
+
 /// Topology, timing and routing state: read-only during event execution,
 /// mutated only by fault handling.
 #[derive(Debug, Clone)]
 pub struct FabricShared {
     topo: Topology,
     cfg: FabricConfig,
+    /// `cfg.serialization(wire)` for every `wire <= SER_TABLE_MAX_WIRE`,
+    /// so a hop does no floating-point division or rounding.
+    ser_table: Box<[SimDuration]>,
+    /// `topo.coords(n)` by node index on mesh and torus (empty otherwise),
+    /// so dimension-order routing needs no division or remainder.
+    coords: Box<[(u16, u16)]>,
     /// Directed links administratively down (both directions of a failed
     /// cable appear here; a direction that is not a physical link is
     /// harmless dead weight).
@@ -211,6 +221,99 @@ impl FabricShared {
     pub fn min_hop_latency(&self) -> SimDuration {
         self.cfg.router_delay + self.cfg.link_latency
     }
+
+    fn new(topo: Topology, cfg: FabricConfig) -> FabricShared {
+        let coords = match topo {
+            Topology::Mesh2D { .. } | Topology::Torus2D { .. } => (0..topo.num_nodes() as usize)
+                .map(|i| topo.coords(NodeId::from_index(i)))
+                .collect(),
+            Topology::Ring { .. } | Topology::FullyConnected { .. } => Box::default(),
+        };
+        FabricShared {
+            topo,
+            cfg,
+            ser_table: (0..=SER_TABLE_MAX_WIRE)
+                .map(|wire| cfg.serialization(wire))
+                .collect(),
+            coords,
+            down_links: FastSet::default(),
+            down_nodes: FastSet::default(),
+            routes: FastMap::default(),
+        }
+    }
+
+    /// [`FabricConfig::serialization`], from the table when `wire` is in it.
+    #[inline]
+    fn serialization(&self, wire: u32) -> SimDuration {
+        match self.ser_table.get(wire as usize) {
+            Some(&ser) => ser,
+            None => self.cfg.serialization(wire),
+        }
+    }
+
+    /// [`Topology::next_hop`] (the reference) from the coordinate table:
+    /// the same dimension-order step, with the node index moved by ±1 in
+    /// X and ±width in Y instead of recomputed from coordinates.
+    #[inline]
+    fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
+        debug_assert_ne!(from, to, "next_hop called with from == to");
+        let i = from.index();
+        let next = match self.topo {
+            Topology::Mesh2D { width, .. } => {
+                let ((fx, fy), (tx, ty)) = (self.coords[i], self.coords[to.index()]);
+                let width = width as usize;
+                if fx != tx {
+                    if tx > fx {
+                        i + 1
+                    } else {
+                        i - 1
+                    }
+                } else if ty > fy {
+                    i + width
+                } else {
+                    i - width
+                }
+            }
+            Topology::Torus2D { width, height } => {
+                let ((fx, fy), (tx, ty)) = (self.coords[i], self.coords[to.index()]);
+                if fx != tx {
+                    i - fx as usize + torus_step(fx, tx, width) as usize
+                } else {
+                    let width = width as usize;
+                    i - fy as usize * width + torus_step(fy, ty, height) as usize * width
+                }
+            }
+            Topology::Ring { nodes } => {
+                if i + 1 == nodes as usize {
+                    0
+                } else {
+                    i + 1
+                }
+            }
+            Topology::FullyConnected { .. } => return to,
+        };
+        NodeId::from_index(next)
+    }
+}
+
+/// One torus step from `f` toward `t != f` in a dimension of extent `n`,
+/// taking the shorter way (ties break positive): `Topology::next_hop`'s
+/// rule without the remainders.
+#[inline]
+fn torus_step(f: u16, t: u16, n: u16) -> u16 {
+    debug_assert!(f != t && f < n && t < n);
+    let fwd = if t > f { t - f } else { t + n - f };
+    if fwd <= n - fwd {
+        if f + 1 == n {
+            0
+        } else {
+            f + 1
+        }
+    } else if f == 0 {
+        n - 1
+    } else {
+        f - 1
+    }
 }
 
 /// The interconnect: topology + contended links.
@@ -240,13 +343,7 @@ impl Fabric {
                 .push((v, Link::new(&cfg, u, v)));
         }
         Fabric {
-            shared: FabricShared {
-                topo,
-                cfg,
-                down_links: FastSet::default(),
-                down_nodes: FastSet::default(),
-                routes: FastMap::default(),
-            },
+            shared: FabricShared::new(topo, cfg),
             counters: FabricCounters::default(),
             rows,
         }
@@ -570,7 +667,7 @@ pub fn step_row(
     let next = if shared.degraded() {
         match shared.routes.get(&(at, msg.dst)) {
             Some(&hop) => {
-                if hop != shared.topo.next_hop(at, msg.dst) {
+                if hop != shared.next_hop(at, msg.dst) {
                     counters.rerouted.inc();
                 }
                 hop
@@ -582,10 +679,10 @@ pub fn step_row(
             }
         }
     } else {
-        shared.topo.next_hop(at, msg.dst)
+        shared.next_hop(at, msg.dst)
     };
     let wire = msg.wire_bytes();
-    let ser = shared.cfg.serialization(wire);
+    let ser = shared.serialization(wire);
     let enq = now + shared.cfg.router_delay;
     let link = row
         .link_mut(next)
@@ -981,5 +1078,70 @@ mod tests {
         }
         assert_eq!(f.dropped(), 0);
         assert_eq!(f.delivered(), 100);
+    }
+
+    /// The coordinate-table router agrees with the reference
+    /// `Topology::next_hop` on every ordered pair of distinct nodes, for
+    /// every topology family at several sizes (degenerate rows and
+    /// columns, odd and even torus extents, the 256-node serving mesh).
+    #[test]
+    fn table_next_hop_matches_the_topology_reference() {
+        let mut topos = vec![
+            Topology::Ring { nodes: 2 },
+            Topology::Ring { nodes: 3 },
+            Topology::Ring { nodes: 16 },
+            Topology::FullyConnected { nodes: 2 },
+            Topology::FullyConnected { nodes: 7 },
+            Topology::FullyConnected { nodes: 16 },
+        ];
+        for (width, height) in [
+            (1, 5),
+            (5, 1),
+            (2, 2),
+            (3, 5),
+            (4, 4),
+            (7, 3),
+            (8, 8),
+            (16, 16),
+        ] {
+            topos.push(Topology::Mesh2D { width, height });
+            topos.push(Topology::Torus2D { width, height });
+        }
+        for topo in topos {
+            let f = Fabric::new(topo, FabricConfig::default());
+            let nodes = topo.num_nodes();
+            for a in (1..=nodes).map(n) {
+                for b in (1..=nodes).map(n).filter(|&b| b != a) {
+                    assert_eq!(
+                        f.shared.next_hop(a, b),
+                        topo.next_hop(a, b),
+                        "{topo:?}: {a} -> {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The serialization table agrees with `FabricConfig::serialization` at
+    /// every wire size it covers and past its end (where the formula
+    /// takes over), at the default and at non-default link bandwidths.
+    #[test]
+    fn serialization_table_matches_the_formula() {
+        for bytes_per_ns in [8.0, 3.3, 0.7, 12.5] {
+            let cfg = FabricConfig {
+                bytes_per_ns,
+                ..FabricConfig::default()
+            };
+            let f = Fabric::new(Topology::prototype(), cfg);
+            assert_eq!(f.shared.ser_table.len(), SER_TABLE_MAX_WIRE as usize + 1);
+            let past_end = [65_536, 1 << 20, u32::MAX];
+            for wire in (0..=SER_TABLE_MAX_WIRE + 4_096).chain(past_end) {
+                assert_eq!(
+                    f.shared.serialization(wire),
+                    cfg.serialization(wire),
+                    "{bytes_per_ns} B/ns, {wire} B"
+                );
+            }
+        }
     }
 }

@@ -9,70 +9,87 @@
 //! The queue owns the simulation clock: popping an event advances `now` to
 //! the event's timestamp. Scheduling in the past is a logic error and panics.
 //!
-//! ## Implementation: hybrid calendar queue
+//! ## Implementation: hybrid calendar queue over an event slab
 //!
 //! Simulated delays cluster tightly around the hardware constants (tens of
 //! nanoseconds for links, routers and DRAM), so a comparison-based heap pays
 //! `O(log n)` sift costs for what is nearly FIFO traffic. Instead the queue
-//! keeps three tiers, ordered by distance from the clock:
+//! parks each event in a slab slot and orders 32-byte records
+//! `(time, key, slot)` in three tiers, ordered by distance from the clock:
 //!
-//! * **front** — every pending event in the *current* bucket (and any event
-//!   scheduled at-or-before it), kept sorted by `(time, seq)` in a
-//!   `VecDeque`; `pop` is `O(1)` from the head and a same-instant
+//! * **front** — every pending record in the *current* bucket (and any
+//!   record scheduled at-or-before it), kept sorted by `(time, key)` in a
+//!   `Vec` read from a moving head; `pop` is `O(1)` and a same-instant
 //!   `schedule_now` is a sorted insert near the tail.
-//! * **ring** — `NUM_BUCKETS` FIFO buckets of [`BUCKET_WIDTH`] picoseconds
-//!   each covering the near future; scheduling is an `O(1)` push plus an
-//!   occupancy-bitmap update.
+//! * **ring** — `NUM_BUCKETS` FIFO buckets of 2^`BUCKET_WIDTH_BITS`
+//!   picoseconds each covering the near future; scheduling is an `O(1)`
+//!   push plus an occupancy-bitmap update.
 //! * **overflow** — a `BinaryHeap` for the far future beyond the ring
 //!   horizon (timeouts, sampling probes).
 //!
 //! When `front` drains, *refill* advances the epoch straight to the earliest
-//! non-empty bucket (bitmap scan / overflow peek), moves that bucket's
-//! events into `front` and sorts them — restoring the exact `(time, seq)`
-//! order a global heap would have produced. The total order is therefore
-//! identical to the previous `BinaryHeap` implementation, which survives as
-//! a `#[cfg(test)]` oracle driven against the calendar queue by a seeded
-//! differential test.
+//! non-empty bucket (bitmap scan / overflow peek), swaps that bucket's
+//! record vector in as `front` and sorts it — restoring the exact `(time, key)`
+//! order a global heap would have produced. The slot never enters a
+//! comparison, so the total order is identical to the previous
+//! `BinaryHeap` implementation, which survives as a `#[cfg(test)]` oracle
+//! driven against the calendar queue by seeded differential tests.
+//!
+//! Moving records instead of events keeps every tier move and every sort
+//! swap at 32 bytes whatever the event type's size; the event itself is
+//! written once on `schedule` and read once on `pop`. Freed slots are
+//! reused LIFO, so the slab stays as large as the peak pending count.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Log2 of the bucket width in picoseconds: 2^16 ps ≈ 65.5 ns, on the order
-/// of one router/link/DRAM hop, so near-future traffic lands a few buckets
-/// ahead.
-const BUCKET_WIDTH_BITS: u32 = 16;
-/// Number of ring buckets; the ring horizon is `NUM_BUCKETS * 65.5 ns ≈
+/// Log2 of the bucket width in picoseconds: 2^14 ps ≈ 16.4 ns, about a
+/// sixth of one fabric hop (≈ 90 ns: 60 ns router, serialization, 20 ns
+/// link). The 256-node serving world schedules ~20 events per 65.5 ns, so
+/// a bucket holds about five records and each refill's sort stays short.
+const BUCKET_WIDTH_BITS: u32 = 14;
+/// Number of ring buckets; the ring horizon is `NUM_BUCKETS * 16.4 ns ≈
 /// 16.8 us` ahead of the current bucket. Must be a multiple of 64 for the
 /// occupancy bitmap.
-const NUM_BUCKETS: usize = 256;
+const NUM_BUCKETS: usize = 1024;
 /// Occupancy bitmap words.
 const BITMAP_WORDS: usize = NUM_BUCKETS / 64;
 
-/// Overflow-heap entry: ordered by `(time, key)` ascending.
-struct Entry<E> {
+/// A pending event's position in the total order plus the slab slot that
+/// holds the event. Equality and order look at `(at, key)` only.
+#[derive(Clone, Copy)]
+struct Rec {
     at: SimTime,
     key: u128,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
+const _: () = assert!(std::mem::size_of::<Rec>() == 32);
+
+impl Rec {
+    #[inline]
+    fn order(&self) -> (SimTime, u128) {
+        (self.at, self.key)
     }
 }
-impl<E> Eq for Entry<E> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialEq for Rec {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Rec {}
+
+impl PartialOrd for Rec {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Rec {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key) pops first.
-        (other.at, other.key).cmp(&(self.at, self.key))
+        self.order().cmp(&other.order())
     }
 }
 
@@ -92,17 +109,24 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// All pending events in bucket `epoch` or earlier, sorted ascending by
-    /// `(at, key)`. Non-empty whenever `len > 0` (eager refill), so `pop`
-    /// and `peek_time` never search the ring.
-    front: VecDeque<(SimTime, u128, E)>,
-    /// Near-future FIFO buckets; slot `b % NUM_BUCKETS` holds events whose
+    /// `front[head..]` holds all pending records in bucket `epoch` or
+    /// earlier, sorted ascending by `(at, key)`; `front[..head]` are popped
+    /// leftovers. Non-empty whenever `len > 0` (eager refill), so `pop` and
+    /// `peek_time` never search the ring.
+    front: Vec<Rec>,
+    head: usize,
+    /// Near-future FIFO buckets; slot `b % NUM_BUCKETS` holds records whose
     /// bucket `b` lies in `(epoch, epoch + NUM_BUCKETS)`.
-    ring: Box<[Vec<(SimTime, u128, E)>; NUM_BUCKETS]>,
+    ring: Box<[Vec<Rec>; NUM_BUCKETS]>,
     /// One bit per ring slot: set iff the slot is non-empty.
     occupied: [u64; BITMAP_WORDS],
-    /// Far-future events beyond the ring horizon.
-    overflow: BinaryHeap<Entry<E>>,
+    /// Far-future records beyond the ring horizon.
+    overflow: BinaryHeap<Reverse<Rec>>,
+    /// Event slab: `events[r.slot]` is `Some` exactly while record `r` is
+    /// pending.
+    events: Vec<Option<E>>,
+    /// Vacant slab slots.
+    free: Vec<u32>,
     /// Absolute index of the bucket `front` currently covers.
     epoch: u64,
     len: usize,
@@ -126,10 +150,13 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            front: VecDeque::new(),
+            front: Vec::new(),
+            head: 0,
             ring: Box::new(std::array::from_fn(|_| Vec::new())),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             epoch: 0,
             len: 0,
             now: SimTime::ZERO,
@@ -195,12 +222,19 @@ impl<E> EventQueue<E> {
             at = at,
             now = self.now
         );
+        let rec = Rec {
+            at,
+            key,
+            slot: self.park(event),
+        };
         self.len += 1;
         if self.len == 1 {
             // Queue was empty: adopt this event's bucket as the epoch and
             // serve it straight from `front`.
             self.epoch = bucket_of(at);
-            self.front.push_back((at, key, event));
+            self.front.clear();
+            self.head = 0;
+            self.front.push(rec);
             return;
         }
         let b = bucket_of(at);
@@ -210,14 +244,37 @@ impl<E> EventQueue<E> {
             // events carry the largest key, so ties land after existing
             // same-instant events (FIFO) and the common "latest time" case
             // inserts at the tail in O(1).
-            let idx = self.front.partition_point(|&(t, s, _)| (t, s) < (at, key));
-            self.front.insert(idx, (at, key, event));
+            if self.head >= 64 && 2 * self.head >= self.front.len() {
+                // Drop the popped prefix of a long-lived front; this moves
+                // no more records than were popped since the last drop.
+                self.front.drain(..self.head);
+                self.head = 0;
+            }
+            let idx = self.front[self.head..].partition_point(|r| r.order() < rec.order());
+            self.front.insert(self.head + idx, rec);
         } else if b - self.epoch < NUM_BUCKETS as u64 {
             let slot = (b % NUM_BUCKETS as u64) as usize;
-            self.ring[slot].push((at, key, event));
+            self.ring[slot].push(rec);
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            self.overflow.push(Entry { at, key, event });
+            self.overflow.push(Reverse(rec));
+        }
+    }
+
+    /// Store `event` in a vacant slab slot and return the slot.
+    #[inline]
+    fn park(&mut self, event: E) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.events[slot as usize].is_none());
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("pending events exceed u32");
+                self.events.push(Some(event));
+                slot
+            }
         }
     }
 
@@ -237,7 +294,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.front.front().map(|&(at, _, _)| at)
+        self.front.get(self.head).map(|r| r.at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -249,12 +306,17 @@ impl<E> EventQueue<E> {
     /// Engines that derive scheduling keys from the currently executing
     /// event (same-instant causality chains) need the key in hand.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u128, E)> {
-        let (at, key, event) = self.front.pop_front()?;
+        let Rec { at, key, slot } = *self.front.get(self.head)?;
+        self.head += 1;
         debug_assert!(at >= self.now, "event queue clock regression");
+        let event = self.events[slot as usize]
+            .take()
+            .expect("a pending record owns its slab slot");
+        self.free.push(slot);
         self.now = at;
         self.processed += 1;
         self.len -= 1;
-        if self.front.is_empty() && self.len > 0 {
+        if self.head == self.front.len() && self.len > 0 {
             self.refill();
         }
         Some((at, key, event))
@@ -265,6 +327,7 @@ impl<E> EventQueue<E> {
     /// a clear.
     pub fn clear(&mut self) {
         self.front.clear();
+        self.head = 0;
         let mut remaining = self.occupied;
         for (w, word) in remaining.iter_mut().enumerate() {
             while *word != 0 {
@@ -275,16 +338,18 @@ impl<E> EventQueue<E> {
         }
         self.occupied = [0; BITMAP_WORDS];
         self.overflow.clear();
+        self.events.clear();
+        self.free.clear();
         self.len = 0;
     }
 
-    /// Advance `epoch` to the earliest non-empty bucket and move its events
-    /// (ring slot plus any overflow stragglers in the same bucket) into
-    /// `front`, sorted by `(at, seq)`. Called only when `front` is empty
-    /// and events remain.
+    /// Advance `epoch` to the earliest non-empty bucket and make its
+    /// records (ring slot plus any overflow stragglers in the same bucket)
+    /// the new `front`, sorted by `(at, key)`. Called only when `front` is
+    /// drained and events remain.
     #[cold]
     fn refill(&mut self) {
-        debug_assert!(self.front.is_empty() && self.len > 0);
+        debug_assert!(self.head == self.front.len() && self.len > 0);
         let e_slot = (self.epoch % NUM_BUCKETS as u64) as usize;
         let ring_bucket = self
             .next_occupied_slot((e_slot + 1) % NUM_BUCKETS)
@@ -293,35 +358,42 @@ impl<E> EventQueue<E> {
                 debug_assert!(delta > 0);
                 self.epoch + delta as u64
             });
-        let ovf_bucket = self.overflow.peek().map(|e| bucket_of(e.at));
+        let ovf_bucket = self.overflow.peek().map(|r| bucket_of(r.0.at));
         self.epoch = match (ring_bucket, ovf_bucket) {
             (Some(r), Some(o)) => r.min(o),
             (Some(r), None) => r,
             (None, Some(o)) => o,
             (None, None) => unreachable!("refill with no pending events"),
         };
+        // The drained front's buffer goes back to the ring as the
+        // (empty) vector of the slot it replaces: no record is copied and
+        // every buffer keeps its capacity.
+        self.front.clear();
+        self.head = 0;
         let slot = (self.epoch % NUM_BUCKETS as u64) as usize;
         if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
-            for item in self.ring[slot].drain(..) {
-                debug_assert_eq!(bucket_of(item.0), self.epoch);
-                self.front.push_back(item);
-            }
+            debug_assert!(self.ring[slot]
+                .iter()
+                .all(|r| bucket_of(r.at) == self.epoch));
+            std::mem::swap(&mut self.front, &mut self.ring[slot]);
             self.occupied[slot / 64] &= !(1 << (slot % 64));
         }
-        // Overflow may hold events inside the (advanced) ring window; they
+        // Overflow may hold records inside the (advanced) ring window; they
         // are picked up bucket-by-bucket as the epoch reaches them.
         while self
             .overflow
             .peek()
-            .is_some_and(|e| bucket_of(e.at) == self.epoch)
+            .is_some_and(|r| bucket_of(r.0.at) == self.epoch)
         {
-            let Entry { at, key, event } = self.overflow.pop().expect("peeked");
-            self.front.push_back((at, key, event));
+            let Reverse(rec) = self.overflow.pop().expect("peeked");
+            self.front.push(rec);
         }
-        self.front
-            .make_contiguous()
-            .sort_unstable_by_key(|e| (e.0, e.1));
+        self.front.sort_unstable();
         debug_assert!(!self.front.is_empty());
+        debug_assert!(
+            self.front.windows(2).all(|w| w[0] < w[1]),
+            "two pending events share an (at, key)"
+        );
     }
 
     /// First occupied ring slot in circular order starting at `start`, or
@@ -380,8 +452,35 @@ mod tests {
     /// Width of one calendar bucket in picoseconds.
     const BUCKET_WIDTH_PS: u64 = 1 << BUCKET_WIDTH_BITS;
 
-    /// The previous `BinaryHeap`-only implementation, kept verbatim as the
-    /// ordering oracle for the differential test below.
+    /// Oracle heap entry: ordered by `(time, key)` ascending.
+    struct Entry<E> {
+        at: SimTime,
+        key: u128,
+        event: E,
+    }
+
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.key == other.key
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest (time, key) pops first.
+            (other.at, other.key).cmp(&(self.at, self.key))
+        }
+    }
+
+    /// The original `BinaryHeap`-only implementation, kept as the ordering
+    /// oracle for the differential tests below.
     struct OracleQueue<E> {
         heap: BinaryHeap<Entry<E>>,
         now: SimTime,
@@ -399,16 +498,22 @@ mod tests {
             }
         }
         fn schedule(&mut self, at: SimTime, event: E) {
-            assert!(at >= self.now);
             let key = self.seq as u128;
             self.seq += 1;
+            self.schedule_keyed(at, key, event);
+        }
+        fn schedule_keyed(&mut self, at: SimTime, key: u128, event: E) {
+            assert!(at >= self.now);
             self.heap.push(Entry { at, key, event });
         }
         fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.pop_entry().map(|(at, _, event)| (at, event))
+        }
+        fn pop_entry(&mut self) -> Option<(SimTime, u128, E)> {
             let entry = self.heap.pop()?;
             self.now = entry.at;
             self.processed += 1;
-            Some((entry.at, entry.event))
+            Some((entry.at, entry.key, entry.event))
         }
         fn clear(&mut self) {
             self.heap.clear();
@@ -634,5 +739,114 @@ mod tests {
         assert_eq!(q.processed(), o.processed);
         assert_eq!(q.now(), o.now);
         assert!(q.processed() > 300_000, "pop arm under-exercised");
+    }
+
+    /// The `World`'s side of the API: ~1M seeded `schedule_keyed` /
+    /// `pop_entry` / `clear` operations against the oracle. Keys are
+    /// non-monotone `u128`s (a random high half over a unique low half).
+    /// A third of the schedules reuse an instant that pending events
+    /// already hold, so ties are split across tiers: the earlier event was
+    /// parked in overflow or the ring, the later one in the ring or
+    /// `front`. The queue also repeatedly drains and runs one-event chains
+    /// (every schedule lands on an empty queue, as on the blocking path).
+    /// Pops, keys, clocks, lengths and counts must match exactly.
+    #[test]
+    fn keyed_differential_against_binary_heap_oracle() {
+        let mut rng = Rng::new(0x5EED_4B3D);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut o: OracleQueue<u64> = OracleQueue::new();
+        let horizon = BUCKET_WIDTH_PS * NUM_BUCKETS as u64;
+        let mut instants: Vec<SimTime> = Vec::new();
+        let mut next_id = 0u64;
+        let (mut max_ring, mut max_overflow, mut chain_links) = (0usize, 0usize, 0u64);
+        let key_for = |rng: &mut Rng, id: u64| -> u128 {
+            let hi = match rng.below(4) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64(),
+            };
+            (hi as u128) << 64 | id as u128
+        };
+        let delay = |rng: &mut Rng| match rng.below(10) {
+            0..=1 => 0,
+            2..=3 => rng.below(BUCKET_WIDTH_PS),
+            4..=6 => rng.below(BUCKET_WIDTH_PS * 16),
+            7 => horizon - BUCKET_WIDTH_PS * 2 + rng.below(BUCKET_WIDTH_PS * 4),
+            _ => horizon * (1 + rng.below(3)) + rng.below(horizon),
+        };
+        let mut ops = 0u64;
+        while ops < 1_000_000 {
+            match rng.below(100) {
+                0..=51 => {
+                    let reuse = rng.below(3) == 0 && !instants.is_empty();
+                    let at = if reuse {
+                        instants[rng.below(instants.len() as u64) as usize]
+                    } else {
+                        q.now() + SimDuration(delay(&mut rng))
+                    };
+                    let at = at.max(q.now());
+                    if instants.len() < 256 {
+                        instants.push(at);
+                    } else {
+                        instants[rng.below(256) as usize] = at;
+                    }
+                    let key = key_for(&mut rng, next_id);
+                    q.schedule_keyed(at, key, next_id);
+                    o.schedule_keyed(at, key, next_id);
+                    next_id += 1;
+                }
+                52..=94 => {
+                    assert_eq!(q.pop_entry(), o.pop_entry(), "pop diverged after {ops} ops");
+                    assert_eq!(q.now(), o.now, "clock diverged after {ops} ops");
+                }
+                95..=98 => {
+                    // Drain, then a chain of one-event schedule/pop pairs.
+                    loop {
+                        let got = q.pop_entry();
+                        assert_eq!(got, o.pop_entry(), "drain diverged after {ops} ops");
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                    for _ in 0..rng.range(1, 24) {
+                        let at = q.now() + SimDuration(delay(&mut rng));
+                        let key = key_for(&mut rng, next_id);
+                        q.schedule_keyed(at, key, next_id);
+                        o.schedule_keyed(at, key, next_id);
+                        next_id += 1;
+                        assert_eq!(q.peek_time(), Some(at));
+                        assert_eq!(
+                            q.pop_entry(),
+                            o.pop_entry(),
+                            "chain diverged after {ops} ops"
+                        );
+                        assert!(q.is_empty());
+                        chain_links += 1;
+                    }
+                }
+                _ => {
+                    q.clear();
+                    o.clear();
+                    assert!(q.is_empty());
+                    assert_eq!(q.peek_time(), None);
+                }
+            }
+            assert_eq!(q.len(), o.heap.len());
+            max_ring = max_ring.max(q.ring.iter().map(Vec::len).sum());
+            max_overflow = max_overflow.max(q.overflow.len());
+            ops += 1;
+        }
+        loop {
+            let got = q.pop_entry();
+            assert_eq!(got, o.pop_entry(), "final drain diverged");
+            if got.is_none() {
+                break;
+            }
+        }
+        assert_eq!(q.processed(), o.processed);
+        assert_eq!(q.now(), o.now);
+        assert!(q.processed() > 300_000, "pop arm under-exercised");
+        assert!(max_ring > 16 && max_overflow > 16, "tiers under-exercised");
+        assert!(chain_links > 100_000, "chain arm under-exercised");
     }
 }
