@@ -10,20 +10,14 @@
 //!
 //! Exits non-zero if any oracle is violated or any rerun diverges.
 
-use cohfree_bench::chaos;
-use cohfree_bench::Scale;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use cohfree_bench::{chaos, env_knob, Scale};
+use cohfree_core::envknob;
 
 fn main() {
     let scale = Scale::from_env();
-    let base_seed = env_u64("COHFREE_CHAOS_SEED", 0xC4A0);
-    let runs = env_u64("COHFREE_CHAOS_RUNS", scale.pick(5, 25, 100));
+    let base_seed = env_knob("COHFREE_CHAOS_SEED", envknob::parse_u64).unwrap_or(0xC4A0);
+    let runs = env_knob("COHFREE_CHAOS_RUNS", envknob::parse_positive)
+        .unwrap_or_else(|| scale.pick(5, 25, 100));
     let accesses = scale.pick(80u64, 200, 500);
     eprintln!(
         "chaos campaign: {runs} seeds x {} scenarios x manager on/off \

@@ -20,7 +20,7 @@
 //! default 4), `COHFREE_SERVING_SEED` (arrival-stream seed base).
 
 use crate::table::Table;
-use crate::Scale;
+use crate::{env_knob, Scale};
 use cohfree_core::{
     envknob, FaultEvent, FaultPlan, ManagerConfig, SimDuration, SimTime, TraceConfig, World,
 };
@@ -31,23 +31,17 @@ use cohfree_workloads::serving::{
 
 /// KV-tenant simulated user population (`COHFREE_SERVING_USERS`).
 fn users() -> u64 {
-    envknob::lookup("COHFREE_SERVING_USERS", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(1_000_000)
+    env_knob("COHFREE_SERVING_USERS", envknob::parse_positive).unwrap_or(1_000_000)
 }
 
 /// Serving lanes (threads) per tenant (`COHFREE_SERVING_LANES`).
 fn lanes() -> usize {
-    envknob::lookup("COHFREE_SERVING_LANES", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .map_or(4, |l: u64| l as usize)
+    env_knob("COHFREE_SERVING_LANES", envknob::parse_positive).map_or(4, |l: u64| l as usize)
 }
 
 /// Arrival-stream seed base (`COHFREE_SERVING_SEED`).
 fn seed() -> u64 {
-    envknob::lookup("COHFREE_SERVING_SEED", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0x5E21)
+    env_knob("COHFREE_SERVING_SEED", envknob::parse_u64).unwrap_or(0x5E21)
 }
 
 /// The two tenants of the study. The KV tenant folds the full user

@@ -22,6 +22,7 @@ pub mod perf;
 pub mod report;
 pub mod table;
 
+use cohfree_core::{envknob, EnvKnobError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -77,6 +78,20 @@ where
         .collect()
 }
 
+/// The value of the `COHFREE_*` knob `name` parsed by `parse`, `None` when
+/// unset. A value the knob cannot use is a mistake the caller must see:
+/// the typed [`EnvKnobError`] is printed and the process exits with
+/// status 2 instead of falling back to a default.
+pub fn env_knob<T>(
+    name: &str,
+    parse: impl FnOnce(&str, &str) -> Result<T, EnvKnobError>,
+) -> Option<T> {
+    envknob::lookup(name, parse).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// Experiment size tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -89,13 +104,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the tier from `COHFREE_SCALE` (`smoke` / `default` / `paper`).
+    /// Read the tier from `COHFREE_SCALE` (`smoke` / `default` / `paper`;
+    /// unset means `default`). Any other value exits with the typed error
+    /// ([`env_knob`]).
     pub fn from_env() -> Scale {
-        match std::env::var("COHFREE_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Default,
-        }
+        env_knob("COHFREE_SCALE", Scale::parse).unwrap_or(Scale::Default)
+    }
+
+    /// Parse a `COHFREE_SCALE` value.
+    pub fn parse(name: &str, raw: &str) -> Result<Scale, EnvKnobError> {
+        envknob::parse_choice(
+            name,
+            raw,
+            &[
+                ("smoke", Scale::Smoke),
+                ("default", Scale::Default),
+                ("paper", Scale::Paper),
+            ],
+            "one of smoke, default, paper",
+        )
     }
 
     /// The tier's canonical name (as accepted by `COHFREE_SCALE`).
@@ -120,6 +147,21 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parses_every_tier_by_its_name() {
+        for scale in [Scale::Smoke, Scale::Default, Scale::Paper] {
+            assert_eq!(Scale::parse("COHFREE_SCALE", scale.name()), Ok(scale));
+        }
+    }
+
+    #[test]
+    fn scale_rejects_unknown_tiers() {
+        for bad in ["smok", "PAPER", "", "full"] {
+            let e = Scale::parse("COHFREE_SCALE", bad).unwrap_err();
+            assert_eq!((e.name.as_str(), e.value.as_str()), ("COHFREE_SCALE", bad));
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_input_order() {

@@ -1,7 +1,8 @@
 //! Typed parsing for `COHFREE_*` environment knobs.
 //!
-//! Every runtime tuning knob (`COHFREE_METRICS`, the EXT-SERVING
-//! `COHFREE_SERVING_*` knobs) goes through this module so a garbage value
+//! Every runtime tuning knob (`COHFREE_SCALE`, `COHFREE_METRICS`, the
+//! EXT-SERVING `COHFREE_SERVING_*` and the chaos campaign's
+//! `COHFREE_CHAOS_*` knobs) goes through this module so a garbage value
 //! produces one clear, typed [`EnvKnobError`] at startup instead of being
 //! silently ignored (the old `parse().unwrap_or(0)` behaviour). Parsing is
 //! split from environment lookup so both the accept and reject paths are
@@ -46,6 +47,29 @@ pub fn parse_positive(name: &str, raw: &str) -> Result<u64, EnvKnobError> {
         Ok(v) if v >= 1 => Ok(v),
         _ => Err(err(name, raw, "a positive integer")),
     }
+}
+
+/// Parse a non-negative integer knob value (seeds, where 0 is a value
+/// like any other).
+pub fn parse_u64(name: &str, raw: &str) -> Result<u64, EnvKnobError> {
+    raw.trim()
+        .parse()
+        .map_err(|_| err(name, raw, "a non-negative integer"))
+}
+
+/// Parse a knob value naming one of `choices` (exact match after
+/// trimming); `expected` lists them for the error message.
+pub fn parse_choice<T: Copy>(
+    name: &str,
+    raw: &str,
+    choices: &[(&str, T)],
+    expected: &'static str,
+) -> Result<T, EnvKnobError> {
+    choices
+        .iter()
+        .find(|&&(choice, _)| choice == raw.trim())
+        .map(|&(_, value)| value)
+        .ok_or_else(|| err(name, raw, expected))
 }
 
 /// Parse a filesystem-path knob value: any non-empty string. An empty
@@ -94,6 +118,37 @@ mod tests {
             parse_path("COHFREE_METRICS", "/tmp/metrics.prom"),
             Ok("/tmp/metrics.prom".to_string())
         );
+    }
+
+    const TIERS: &[(&str, u8)] = &[("smoke", 0), ("default", 1), ("paper", 2)];
+
+    #[test]
+    fn accepts_integers_and_choices() {
+        assert_eq!(parse_u64("COHFREE_CHAOS_SEED", "0"), Ok(0));
+        assert_eq!(parse_u64("COHFREE_CHAOS_SEED", " 50336 "), Ok(50_336));
+        assert_eq!(parse_choice("K", "paper", TIERS, "a tier"), Ok(2));
+        assert_eq!(parse_choice("K", " smoke\n", TIERS, "a tier"), Ok(0));
+    }
+
+    #[test]
+    fn rejects_bad_integers_and_unknown_choices() {
+        for bad in ["", "-1", "0xC4A0", "12abc", "18446744073709551616"] {
+            let e = parse_u64("COHFREE_CHAOS_SEED", bad).unwrap_err();
+            assert_eq!(
+                (e.name.as_str(), e.value.as_str()),
+                ("COHFREE_CHAOS_SEED", bad)
+            );
+        }
+        // A near-miss must not fall back to some default tier.
+        for bad in ["smok", "Smoke", "", "defaults"] {
+            let e = parse_choice("COHFREE_SCALE", bad, TIERS, "one of smoke, default, paper")
+                .unwrap_err();
+            assert_eq!(e.value, bad);
+            assert!(
+                e.to_string().contains("one of smoke, default, paper"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! [`World::reserve_remote`], which updates the donor's frame allocator, the
 //! directory and the borrower's region, and charges the configured
 //! reservation latency to the caller's clock.
+//!
+//! This module holds construction, the drivers, fault injection, failure
+//! detection and recovery, and the recovery manager. The datapath — the
+//! per-node events that move a transaction along the diagram above — and
+//! the one scheduler every event goes through are in `crate::exec`.
 
 use crate::config::ClusterConfig;
 use crate::envknob;
@@ -406,11 +411,14 @@ pub struct World {
     pub(crate) evac_remaps: Vec<Vec<(u64, u64, u64)>>,
     /// Per-transaction span tracer (mode per [`crate::TraceConfig`]).
     pub(crate) trace: TraceSink,
-    /// Sequence number for global-context scheduling keys ([`World::gsched`]).
+    /// Schedules made outside any lane event so far (setup, drivers, global
+    /// events); each such key carries the next number ([`World::sched`]).
     pub(crate) gseq: u64,
-    /// Lane events executed so far per lane (index `i` is node `i + 1`); an
-    /// event's per-lane ordinal feeds its children's ordering keys.
+    /// Lane events handled so far per lane (index `i` is node `i + 1`); an
+    /// event's per-lane ordinal feeds its children's keys ([`World::sched`]).
     pub(crate) exec_counts: Vec<u64>,
+    /// The lane event being handled, if any ([`World::sched`]).
+    pub(crate) cursor: exec::Cursor,
 }
 
 impl World {
@@ -509,15 +517,16 @@ impl World {
             queue: EventQueue::new(),
             gseq: 0,
             exec_counts: vec![0; n as usize],
+            cursor: exec::Cursor::default(),
             cfg,
         };
         let faults: Vec<FaultEvent> = world.cfg.faults.events().collect();
         for ev in faults {
-            world.gsched(ev.at(), Ev::Fault(ev));
+            world.sched(ev.at(), Ev::Fault(ev));
         }
         if world.manager.is_some() {
             let tick = world.cfg.manager.tick;
-            world.gsched(SimTime::ZERO + tick, Ev::Manager);
+            world.sched(SimTime::ZERO + tick, Ev::Manager);
         }
         world
     }
@@ -539,7 +548,7 @@ impl World {
             samples: Vec::new(),
         });
         let at = self.queue.now() + interval;
-        self.gsched(at, Ev::Sample);
+        self.sched(at, Ev::Sample);
     }
 
     /// Observations recorded by the sampling probe so far (empty unless
@@ -574,7 +583,7 @@ impl World {
         // probe is the only queued event, sampling would keep the run alive
         // forever.
         if !self.queue.is_empty() {
-            self.gsched(now + interval, Ev::Sample);
+            self.sched(now + interval, Ev::Sample);
         }
     }
 
@@ -724,64 +733,30 @@ impl World {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Global-context scheduling: every schedule performed *outside* a lane
-    /// event's execution (setup, the blocking/posted drivers, global
-    /// handlers) goes through here, keyed by a running sequence number.
-    pub(crate) fn gsched(&mut self, at: SimTime, ev: Ev) {
-        let key = exec::make_key(self.lane_of(&ev), 0, 0, self.gseq, 0);
-        self.gseq += 1;
-        self.queue.schedule_keyed(at, key, ev);
-    }
-
-    /// The node lane that processes `ev` (0 = global).
-    fn lane_of(&self, ev: &Ev) -> u16 {
-        match ev {
-            Ev::Hop { at, .. } => at.get(),
-            Ev::MemDone { msg, .. } => msg.dst.get(),
-            Ev::ThreadWake { id } => self.threads[*id].spec.node.get(),
-            Ev::Timeout { tag, .. } => (tag >> 48) as u16,
-            Ev::Sample | Ev::Fault(_) | Ev::Suspect { .. } | Ev::Manager => exec::GLOBAL_LANE,
-        }
-    }
-
-    /// Dispatch one popped event. Global events run directly against the
-    /// whole world; lane events run through the lane executor
-    /// ([`crate::exec`]).
+    /// Dispatch one popped event: the datapath's lane events
+    /// ([`crate::exec`]) with the scheduling cursor open, the global events
+    /// with it closed.
     pub(crate) fn handle(&mut self, now: SimTime, key: u128, ev: Ev) {
+        let lane_event = exec::key_lane(key) != exec::GLOBAL_LANE;
+        if lane_event {
+            self.open_cursor(now, key);
+        }
         match ev {
+            // A message at a crashed router vanishes with the router.
+            Ev::Hop { at, .. } if self.dead[at.index()] => {}
+            Ev::Hop { msg, at } => self.hop(now, msg, at),
+            // The DRAM completion of a node that crashed mid-service.
+            Ev::MemDone { msg, .. } if self.dead[msg.dst.index()] => {}
+            Ev::MemDone { msg, arrived } => self.mem_done(now, msg, arrived),
+            Ev::ThreadWake { id } => self.thread_step(now, id),
+            Ev::Timeout { tag, attempt } => self.on_timeout(now, tag, attempt),
             Ev::Sample => self.take_sample(now),
             Ev::Fault(fault) => self.apply_fault(now, fault),
             Ev::Suspect { observer, dead } => self.on_suspect(now, observer, dead),
             Ev::Manager => self.manager_tick(now),
-            ev => {
-                let lane = exec::key_lane(key) as usize;
-                let idx = self.exec_counts[lane - 1];
-                self.exec_counts[lane - 1] += 1;
-                let (shared, counters, rows) = self.fabric.decompose();
-                let mut ctx = exec::LaneCtx {
-                    cfg: &self.cfg,
-                    nodes: &mut self.nodes,
-                    threads: &mut self.threads,
-                    pending: &mut self.pending,
-                    evac_remaps: &mut self.evac_remaps,
-                    rows: &mut rows[1..],
-                    fab_shared: shared,
-                    fab_counters: counters,
-                    dead: &self.dead,
-                    coh: &mut self.coh,
-                    coherent_domain: &self.coherent_domain,
-                    trace: &mut self.trace,
-                    queue: &mut self.queue,
-                    sync_done: &mut self.sync_done,
-                    now,
-                    cur_lane: 0,
-                    cur_gen: 0,
-                    cur_key: 0,
-                    cur_idx: 0,
-                    child: 0,
-                };
-                exec::exec_event(&mut ctx, now, key, idx, ev);
-            }
+        }
+        if lane_event {
+            self.close_cursor();
         }
     }
 
@@ -791,22 +766,6 @@ impl World {
         let key = exec::make_key((tag >> 48) as u16, 0, 0, self.gseq, 0);
         self.gseq += 1;
         self.handle(now, key, Ev::Timeout { tag, attempt });
-    }
-
-    /// Arm the loss-recovery timer for a transaction submitted by a
-    /// blocking/posted driver (thread submissions arm theirs inside the
-    /// lane executor). Armed only when messages can be lost — a lossy
-    /// fabric, or any fault plan (crashes and outages swallow traffic even
-    /// over lossless links). The k-th retry backs off exponentially and
-    /// saturates: `timeout * 2^min(k, backoff_cap)`.
-    fn arm_timeout(&mut self, injected_at: SimTime, tag: u64, attempt: u32) {
-        if self.cfg.fabric.loss_rate > 0.0 || !self.cfg.faults.is_empty() {
-            let delay = exec::backoff_delay(&self.cfg, tag, attempt);
-            self.gsched(
-                injected_at.saturating_add(delay),
-                Ev::Timeout { tag, attempt },
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -830,22 +789,30 @@ impl World {
             self.directory.set_free(dead, 0);
             self.evacuate(now, observer, dead);
         }
-        // Sweep in tag order, not in the map's insertion-history order.
+        self.abort_pending(now, |m| m.src == observer && m.dst == dead);
+    }
+
+    /// Abort every in-flight transaction whose message `doomed` selects,
+    /// in tag order (not the map's insertion-history order): the issuing
+    /// RMC drops it, its trace closes as failed, and its owner learns — a
+    /// thread re-aims it through the evacuation remaps or fails it, a
+    /// blocking driver fails; nobody waits on a posted write.
+    fn abort_pending(&mut self, now: SimTime, doomed: impl Fn(&Message) -> bool) {
         let mut doomed: Vec<(u64, PendingTx)> = self
             .pending
             .iter()
-            .filter(|(_, p)| p.msg.src == observer && p.msg.dst == dead)
+            .filter(|(_, p)| doomed(&p.msg))
             .map(|(&tag, &p)| (tag, p))
             .collect();
         doomed.sort_unstable_by_key(|&(tag, _)| tag);
         for (tag, p) in doomed {
             self.pending.remove(&tag);
-            self.nodes[observer.index()].client.abort(tag);
+            self.nodes[p.msg.src.index()].client.abort(tag);
             self.trace.finish(tag, now, true);
             match p.owner {
                 Owner::Thread(id) => self.thread_abort(now, id, p.msg),
                 Owner::Sync => self.sync_failed = Some((tag, now)),
-                Owner::Posted => {} // fire-and-forget; nobody to notify
+                Owner::Posted => {}
             }
         }
     }
@@ -897,20 +864,7 @@ impl World {
                 continue;
             };
             let new = self.reserve_remote(owner, seg.frames, Some(new_donor));
-            for th in &mut self.threads {
-                if th.spec.node != owner {
-                    continue;
-                }
-                for z in &mut th.spec.zones {
-                    if z.0 == seg.base {
-                        z.0 = new.prefixed_base;
-                    }
-                }
-            }
-            self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
-            self.evacuations += 1;
-            self.trace
-                .standalone(Phase::Evac, owner.get(), now, now + self.cfg.os.reservation);
+            self.rehome_zone(now, owner, seg, new.prefixed_base, Phase::Evac);
             self.fault_log.record(
                 now,
                 "evacuation",
@@ -920,6 +874,28 @@ impl World {
                 ),
             );
         }
+    }
+
+    /// `owner`'s zone `seg` now lives at `new_base` (an evacuation or a
+    /// migration, traced as `phase`): rewrite its threads' zone tables and
+    /// record the remap that re-aims accesses already generated.
+    fn rehome_zone(
+        &mut self,
+        now: SimTime,
+        owner: NodeId,
+        seg: Segment,
+        new_base: u64,
+        phase: Phase,
+    ) {
+        for th in self.threads.iter_mut().filter(|th| th.spec.node == owner) {
+            for z in th.spec.zones.iter_mut().filter(|z| z.0 == seg.base) {
+                z.0 = new_base;
+            }
+        }
+        self.evac_remaps[owner.index()].push((seg.base, new_base, seg.frames));
+        self.evacuations += 1;
+        self.trace
+            .standalone(phase, owner.get(), now, now + self.cfg.os.reservation);
     }
 
     /// Pick a donor for a recovery re-reservation of `frames` frames for
@@ -1014,7 +990,7 @@ impl World {
         }
         self.manager = Some(mgr);
         if self.threads.iter().any(|t| t.finished.is_none()) || !self.pending.is_empty() {
-            self.gsched(now + tick, Ev::Manager);
+            self.sched(now + tick, Ev::Manager);
         }
     }
 
@@ -1083,24 +1059,7 @@ impl World {
                     self.release_remote(owner, r);
                 }
                 let new = self.reserve_remote(owner, seg.frames, Some(donor));
-                for th in &mut self.threads {
-                    if th.spec.node != owner {
-                        continue;
-                    }
-                    for z in &mut th.spec.zones {
-                        if z.0 == seg.base {
-                            z.0 = new.prefixed_base;
-                        }
-                    }
-                }
-                self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
-                self.evacuations += 1;
-                self.trace.standalone(
-                    Phase::Migrate,
-                    owner.get(),
-                    now,
-                    now + self.cfg.os.reservation,
-                );
+                self.rehome_zone(now, owner, seg, new.prefixed_base, Phase::Migrate);
                 self.fault_log.record(
                     now,
                     "migration",
@@ -1113,25 +1072,8 @@ impl World {
         }
         if from_gone {
             // Abort in-flight traffic aimed at the unreachable node so its
-            // issuers re-aim through the remaps now (swept in tag order —
-            // see `on_suspect`).
-            let mut doomed: Vec<(u64, PendingTx)> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.msg.dst == from)
-                .map(|(&tag, &p)| (tag, p))
-                .collect();
-            doomed.sort_unstable_by_key(|&(tag, _)| tag);
-            for (tag, p) in doomed {
-                self.pending.remove(&tag);
-                self.nodes[p.msg.src.index()].client.abort(tag);
-                self.trace.finish(tag, now, true);
-                match p.owner {
-                    Owner::Thread(id) => self.thread_abort(now, id, p.msg),
-                    Owner::Sync => self.sync_failed = Some((tag, now)),
-                    Owner::Posted => {}
-                }
-            }
+            // issuers re-aim through the remaps now.
+            self.abort_pending(now, |m| m.dst == from);
         }
     }
 
@@ -1140,40 +1082,33 @@ impl World {
     /// (charging the re-reservation — and optionally re-fetch — latency);
     /// otherwise record it as failed.
     fn thread_abort(&mut self, now: SimTime, id: usize, msg: Message) {
-        let node = self.threads[id].spec.node;
-        let remap = self.evac_remaps[node.index()]
-            .iter()
-            .copied()
-            .find(|&(old, _, frames)| msg.addr >= old && msg.addr < old + frames * 4096);
-        if let Some((old, new, _)) = remap {
-            let addr = new + (msg.addr - old);
-            let (prefix, _) = cohfree_rmc::addr::split(addr);
-            let th = &mut self.threads[id];
-            th.pending = Some((NodeId::new(prefix), msg.kind, addr));
+        let remap = self.evac_remap(self.threads[id].spec.node, msg.addr);
+        let th = &mut self.threads[id];
+        if let Some((home, addr)) = remap {
+            th.pending = Some((home, msg.kind, addr));
             th.evacuated_retries += 1;
             let mut delay = self.cfg.os.reservation;
             if self.cfg.recovery.refetch {
                 delay += self.cfg.os.fault_overhead;
             }
-            self.gsched(now + delay, Ev::ThreadWake { id });
+            self.sched(now + delay, Ev::ThreadWake { id });
         } else {
-            self.thread_access_failed(now, id);
+            th.failed += 1;
+            th.inflight_since = None;
+            self.thread_resolved(now, id);
         }
     }
 
-    /// Record one failed access for thread `id` and either finish it or
-    /// schedule its next step (global-context twin of the lane executor's
-    /// version, for the failure-declaration and crash sweeps).
-    fn thread_access_failed(&mut self, now: SimTime, id: usize) {
-        let th = &mut self.threads[id];
-        th.failed += 1;
-        th.inflight_since = None;
-        if th.resolved() == th.spec.accesses {
-            th.finished = Some(now);
-        } else {
-            let wake = th.next_issue_at(now);
-            self.gsched(wake, Ev::ThreadWake { id });
-        }
+    /// Where `addr`, issued on `owner`, lives now if its zone was evacuated:
+    /// `(new home, re-aimed address)` through `owner`'s recorded remaps.
+    pub(crate) fn evac_remap(&self, owner: NodeId, addr: u64) -> Option<(NodeId, u64)> {
+        let (old, new, _) = self.evac_remaps[owner.index()]
+            .iter()
+            .copied()
+            .find(|&(old, _, frames)| addr >= old && addr < old + frames * 4096)?;
+        let addr = new + (addr - old);
+        let (prefix, _) = cohfree_rmc::addr::split(addr);
+        Some((NodeId::new(prefix), addr))
     }
 
     /// Apply one scheduled fault (or repair) to the cluster.
@@ -1326,42 +1261,8 @@ impl World {
             self.threads.iter().all(|t| t.finished.is_some()),
             "blocking_transaction while traffic threads are active"
         );
-        let mut t = start.max(self.queue.now());
-        let t_first = t;
-        loop {
-            if self.nodes[src.index()].client.is_suspect(dst) {
-                self.trace.fail_fast(src.get(), t);
-                return AccessOutcome::Failed { node: dst, at: t };
-            }
-            if self.nodes[src.index()].client.is_shed(dst) {
-                self.nodes[src.index()].client.note_shed_deferral();
-                return AccessOutcome::Shed { node: dst, at: t };
-            }
-            match self.nodes[src.index()].client.submit(t, dst, kind, addr) {
-                Submit::Accepted { msg, inject_at } => {
-                    self.pending.insert(
-                        msg.tag,
-                        PendingTx {
-                            owner: Owner::Sync,
-                            msg,
-                            attempt: 0,
-                        },
-                    );
-                    exec::trace_submitted(&mut self.trace, &self.cfg, t_first, t, &msg, inject_at);
-                    self.gsched(inject_at, Ev::Hop { msg, at: src });
-                    self.arm_timeout(inject_at, msg.tag, 0);
-                    break;
-                }
-                Submit::Nacked { retry_at } => {
-                    // Slots may be held by in-flight posted writes; pump the
-                    // queue up to the retry instant so they can drain.
-                    while self.queue.peek_time().is_some_and(|pt| pt <= retry_at) {
-                        let (at, key, ev) = self.queue.pop_entry().expect("peeked");
-                        self.handle(at, key, ev);
-                    }
-                    t = retry_at;
-                }
-            }
+        if let Err(refused) = self.submit(start, src, dst, kind, addr, Owner::Sync) {
+            return refused;
         }
         loop {
             if let Some((_, done)) = self.sync_done.take() {
@@ -1395,27 +1296,47 @@ impl World {
         kind: MsgKind,
         addr: u64,
     ) -> SimTime {
+        match self.submit(start, src, dst, kind, addr, Owner::Posted) {
+            Ok(inject_at) => inject_at,
+            Err(refused) => unreachable!("posted writes are never refused: {refused:?}"),
+        }
+    }
+
+    /// Submit one driver access for `owner` (`Sync` or `Posted`) at `start`
+    /// or the engine clock, whichever is later, and put it in flight;
+    /// returns its injection instant. While every request slot is busy the
+    /// core stalls at the interface: the queue is pumped up to each NACK's
+    /// retry instant, so slots held by in-flight (e.g. posted) traffic can
+    /// free. A blocking access is refused instead — before each offer —
+    /// when its home is declared failed or load-shed.
+    fn submit(
+        &mut self,
+        start: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        kind: MsgKind,
+        addr: u64,
+        owner: Owner,
+    ) -> Result<SimTime, AccessOutcome> {
         let mut t = start.max(self.queue.now());
         let t_first = t;
         loop {
-            match self.nodes[src.index()].client.submit(t, dst, kind, addr) {
-                Submit::Accepted { msg, inject_at } => {
-                    self.pending.insert(
-                        msg.tag,
-                        PendingTx {
-                            owner: Owner::Posted,
-                            msg,
-                            attempt: 0,
-                        },
-                    );
-                    exec::trace_submitted(&mut self.trace, &self.cfg, t_first, t, &msg, inject_at);
-                    self.gsched(inject_at, Ev::Hop { msg, at: src });
-                    self.arm_timeout(inject_at, msg.tag, 0);
-                    return inject_at;
+            let client = &mut self.nodes[src.index()].client;
+            if matches!(owner, Owner::Sync) {
+                if client.is_suspect(dst) {
+                    self.trace.fail_fast(src.get(), t);
+                    return Err(AccessOutcome::Failed { node: dst, at: t });
                 }
-                // All slots busy: even a posted write stalls at the
-                // interface until a slot frees. Pump the queue so slots can
-                // actually free while we wait.
+                if client.is_shed(dst) {
+                    client.note_shed_deferral();
+                    return Err(AccessOutcome::Shed { node: dst, at: t });
+                }
+            }
+            match client.submit(t, dst, kind, addr) {
+                Submit::Accepted { msg, inject_at } => {
+                    self.launch(owner, t_first, t, msg, inject_at);
+                    return Ok(inject_at);
+                }
                 Submit::Nacked { retry_at } => {
                     while self.queue.peek_time().is_some_and(|pt| pt <= retry_at) {
                         let (at, key, ev) = self.queue.pop_entry().expect("peeked");
@@ -1528,7 +1449,7 @@ impl World {
             finished: None,
             nack_retries: 0,
         });
-        self.gsched(start, Ev::ThreadWake { id });
+        self.sched(start, Ev::ThreadWake { id });
         id
     }
 

@@ -15,19 +15,10 @@
 //! link) and adds the propagation latency. Because steps happen in global
 //! simulated-time order, link FIFO order is exact.
 //!
-//! ## Decomposition
-//!
-//! [`Fabric::decompose`] split-borrows the state one routing step needs, so
-//! an event loop can step the fabric ([`step_row`]) while it also holds
-//! mutable borrows of its own per-node state:
-//!
-//! * [`FabricShared`] — topology, timing, outage set and the live route
-//!   table. Read-only during event execution; mutated only by fault
-//!   handling.
-//! * [`FabricRow`] — the outgoing links of ONE source router (serializers,
-//!   per-link counters and the per-link loss RNG). Only events executing at
-//!   that router touch its row.
-//! * [`FabricCounters`] — the global delivery counters.
+//! A step does no floating-point or division work: serialization times are
+//! tabulated per wire size, and mesh/torus routing moves a node index by
+//! ±1 or ±width from a table of grid coordinates ([`Topology::next_hop`]
+//! stays the reference both are tested against).
 //!
 //! Loss draws are per-link (seeded from the link's endpoints), not from one
 //! global stream: each link's drop pattern depends only on its own traffic
@@ -130,58 +121,39 @@ impl Link {
     }
 }
 
+/// Largest wire size whose serialization time the fabric tabulates: an
+/// 8 KiB payload plus the header. Larger messages use the formula.
+const SER_TABLE_MAX_WIRE: u32 = 8192 + HEADER_BYTES;
+
 /// The outgoing links of one source router, sorted by destination. Router
 /// degree is small (≤ 4 on the mesh), so the per-hop link lookup is a short
 /// linear scan instead of a hash, and snapshots enumerate links in
 /// `(from, to)` order without sorting.
-#[derive(Debug, Clone, Default)]
-pub struct FabricRow {
-    links: Vec<(NodeId, Link)>,
-}
+type Row = Vec<(NodeId, Link)>;
 
-impl FabricRow {
-    #[inline]
-    fn link(&self, v: NodeId) -> Option<&Link> {
-        self.links.iter().find(|&&(n, _)| n == v).map(|(_, l)| l)
-    }
-
-    #[inline]
-    fn link_mut(&mut self, v: NodeId) -> Option<&mut Link> {
-        self.links
-            .iter_mut()
-            .find(|&&mut (n, _)| n == v)
-            .map(|(_, l)| l)
-    }
-
-    /// Largest time-to-drain backlog across this router's outgoing links.
-    pub fn max_backlog(&self, now: SimTime) -> SimDuration {
-        self.links
-            .iter()
-            .map(|(_, l)| l.server.backlog(now))
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+/// One torus step from `f` toward `t != f` in a dimension of extent `n`,
+/// taking the shorter way (ties break positive): `Topology::next_hop`'s
+/// rule without the remainders.
+#[inline]
+fn torus_step(f: u16, t: u16, n: u16) -> u16 {
+    debug_assert!(f != t && f < n && t < n);
+    let fwd = if t > f { t - f } else { t + n - f };
+    if fwd <= n - fwd {
+        if f + 1 == n {
+            0
+        } else {
+            f + 1
+        }
+    } else if f == 0 {
+        n - 1
+    } else {
+        f - 1
     }
 }
 
-/// Global delivery counters, separable from the link state so a step can
-/// borrow them alongside one router's row ([`Fabric::decompose`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FabricCounters {
-    delivered: Counter,
-    total_hops: Counter,
-    dropped: Counter,
-    rerouted: Counter,
-    unroutable: Counter,
-}
-
-/// Largest wire size whose serialization time [`FabricShared`] tabulates:
-/// an 8 KiB payload plus the header. Larger messages use the formula.
-const SER_TABLE_MAX_WIRE: u32 = 8192 + HEADER_BYTES;
-
-/// Topology, timing and routing state: read-only during event execution,
-/// mutated only by fault handling.
-#[derive(Debug, Clone)]
-pub struct FabricShared {
+/// The interconnect: topology + contended links.
+#[derive(Debug)]
+pub struct Fabric {
     topo: Topology,
     cfg: FabricConfig,
     /// `cfg.serialization(wire)` for every `wire <= SER_TABLE_MAX_WIRE`,
@@ -199,37 +171,37 @@ pub struct FabricShared {
     /// Live next-hop table, rebuilt by BFS whenever the outage set changes.
     /// Empty while the fabric is healthy (dimension-order routing applies).
     routes: FastMap<(NodeId, NodeId), NodeId>,
+    delivered: Counter,
+    total_hops: Counter,
+    dropped: Counter,
+    rerouted: Counter,
+    unroutable: Counter,
+    /// `rows[u]` holds router `u`'s outgoing links (`rows[0]` is an unused
+    /// placeholder).
+    rows: Vec<Row>,
 }
 
-impl FabricShared {
-    /// True while any link or node outage is active.
-    pub fn degraded(&self) -> bool {
-        !self.down_links.is_empty() || !self.down_nodes.is_empty()
-    }
-
-    /// A directed link is usable iff it is physically present, not
-    /// administratively down, and neither endpoint router is down.
-    fn usable(&self, u: NodeId, v: NodeId) -> bool {
-        !self.down_links.contains(&(u, v))
-            && !self.down_nodes.contains(&u)
-            && !self.down_nodes.contains(&v)
-    }
-
-    /// The smallest possible time between a send at one router and any
-    /// consequence at another: one router traversal plus one link flight
-    /// (serialization and queueing only add to it).
-    pub fn min_hop_latency(&self) -> SimDuration {
-        self.cfg.router_delay + self.cfg.link_latency
-    }
-
-    fn new(topo: Topology, cfg: FabricConfig) -> FabricShared {
+impl Fabric {
+    /// Build a fabric over `topo` with physical parameters `cfg`.
+    pub fn new(topo: Topology, cfg: FabricConfig) -> Fabric {
+        let mut links = topo.links();
+        links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
+        let max_id = links
+            .iter()
+            .map(|&(u, v)| u.get().max(v.get()))
+            .max()
+            .unwrap_or(0) as usize;
+        let mut rows: Vec<Row> = vec![Vec::new(); max_id + 1];
+        for (u, v) in links {
+            rows[u.get() as usize].push((v, Link::new(&cfg, u, v)));
+        }
         let coords = match topo {
             Topology::Mesh2D { .. } | Topology::Torus2D { .. } => (0..topo.num_nodes() as usize)
                 .map(|i| topo.coords(NodeId::from_index(i)))
                 .collect(),
             Topology::Ring { .. } | Topology::FullyConnected { .. } => Box::default(),
         };
-        FabricShared {
+        Fabric {
             topo,
             cfg,
             ser_table: (0..=SER_TABLE_MAX_WIRE)
@@ -239,7 +211,26 @@ impl FabricShared {
             down_links: FastSet::default(),
             down_nodes: FastSet::default(),
             routes: FastMap::default(),
+            delivered: Counter::new(),
+            total_hops: Counter::new(),
+            dropped: Counter::new(),
+            rerouted: Counter::new(),
+            unroutable: Counter::new(),
+            rows,
         }
+    }
+
+    /// True while any link or node outage is active.
+    fn degraded(&self) -> bool {
+        !self.down_links.is_empty() || !self.down_nodes.is_empty()
+    }
+
+    /// A directed link is usable iff it is physically present, not
+    /// administratively down, and neither endpoint router is down.
+    fn usable(&self, u: NodeId, v: NodeId) -> bool {
+        !self.down_links.contains(&(u, v))
+            && !self.down_nodes.contains(&u)
+            && !self.down_nodes.contains(&v)
     }
 
     /// [`FabricConfig::serialization`], from the table when `wire` is in it.
@@ -294,72 +285,12 @@ impl FabricShared {
         };
         NodeId::from_index(next)
     }
-}
-
-/// One torus step from `f` toward `t != f` in a dimension of extent `n`,
-/// taking the shorter way (ties break positive): `Topology::next_hop`'s
-/// rule without the remainders.
-#[inline]
-fn torus_step(f: u16, t: u16, n: u16) -> u16 {
-    debug_assert!(f != t && f < n && t < n);
-    let fwd = if t > f { t - f } else { t + n - f };
-    if fwd <= n - fwd {
-        if f + 1 == n {
-            0
-        } else {
-            f + 1
-        }
-    } else if f == 0 {
-        n - 1
-    } else {
-        f - 1
-    }
-}
-
-/// The interconnect: topology + contended links.
-#[derive(Debug)]
-pub struct Fabric {
-    shared: FabricShared,
-    counters: FabricCounters,
-    /// `rows[u]` holds router `u`'s outgoing links (`rows[0]` is an unused
-    /// placeholder).
-    rows: Vec<FabricRow>,
-}
-
-impl Fabric {
-    /// Build a fabric over `topo` with physical parameters `cfg`.
-    pub fn new(topo: Topology, cfg: FabricConfig) -> Fabric {
-        let mut links = topo.links();
-        links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
-        let max_id = links
-            .iter()
-            .map(|&(u, v)| u.get().max(v.get()))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut rows: Vec<FabricRow> = (0..=max_id).map(|_| FabricRow::default()).collect();
-        for (u, v) in links {
-            rows[u.get() as usize]
-                .links
-                .push((v, Link::new(&cfg, u, v)));
-        }
-        Fabric {
-            shared: FabricShared::new(topo, cfg),
-            counters: FabricCounters::default(),
-            rows,
-        }
-    }
-
-    /// Split-borrow the fabric into the three pieces one routing step
-    /// needs: the read-only shared state, the counter accumulator, and the
-    /// per-router link rows (indexed by node id; index 0 is a placeholder).
-    pub fn decompose(&mut self) -> (&FabricShared, &mut FabricCounters, &mut [FabricRow]) {
-        (&self.shared, &mut self.counters, &mut self.rows)
-    }
 
     /// Shared state of the directed link `u -> v`, if it physically exists.
     #[inline]
     fn link(&self, u: NodeId, v: NodeId) -> Option<&Link> {
-        self.rows.get(u.get() as usize)?.link(v)
+        let row = self.rows.get(u.get() as usize)?;
+        row.iter().find(|&&(n, _)| n == v).map(|(_, l)| l)
     }
 
     /// All physical directed links in `(from, to)` order.
@@ -367,7 +298,7 @@ impl Fabric {
         // Row 0 is the empty placeholder, so `max(1)` never names a link.
         self.rows.iter().enumerate().flat_map(|(u, row)| {
             let u = NodeId::new(u.max(1) as u16);
-            row.links.iter().map(move |&(v, ref l)| (u, v, l))
+            row.iter().map(move |&(v, ref l)| (u, v, l))
         })
     }
 
@@ -378,12 +309,11 @@ impl Fabric {
     /// always wins — the table is a pure function of the outage set,
     /// independent of outage arrival order and hash-map iteration order.
     fn rebuild_routes(&mut self) {
-        let sh = &mut self.shared;
-        sh.routes.clear();
-        if !sh.degraded() {
+        self.routes.clear();
+        if !self.degraded() {
             return; // healthy fabric: dimension-order routing, no table.
         }
-        let mut links = sh.topo.links();
+        let mut links = self.topo.links();
         links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
         let n = links
             .iter()
@@ -394,7 +324,7 @@ impl Fabric {
         // ascending by construction (links are sorted source-major).
         let mut radj: Vec<Vec<NodeId>> = vec![Vec::new(); n + 1];
         for &(u, v) in &links {
-            if sh.usable(u, v) {
+            if self.usable(u, v) {
                 radj[v.get() as usize].push(u);
             }
         }
@@ -411,7 +341,7 @@ impl Fabric {
                 for &w in &radj[x.get() as usize] {
                     if !seen[w.get() as usize] {
                         seen[w.get() as usize] = true;
-                        sh.routes.insert((w, dst), x);
+                        self.routes.insert((w, dst), x);
                         q.push_back(w);
                     }
                 }
@@ -426,18 +356,18 @@ impl Fabric {
     /// Panics if `a -> b` is not a physical link of the topology.
     pub fn set_link_down(&mut self, a: NodeId, b: NodeId) {
         assert!(
-            self.shared.topo.links().contains(&(a, b)),
+            self.topo.links().contains(&(a, b)),
             "no physical link {a}->{b} to take down"
         );
-        self.shared.down_links.insert((a, b));
-        self.shared.down_links.insert((b, a));
+        self.down_links.insert((a, b));
+        self.down_links.insert((b, a));
         self.rebuild_routes();
     }
 
     /// Restore the bidirectional link between `a` and `b`.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId) {
-        self.shared.down_links.remove(&(a, b));
-        self.shared.down_links.remove(&(b, a));
+        self.down_links.remove(&(a, b));
+        self.down_links.remove(&(b, a));
         self.rebuild_routes();
     }
 
@@ -446,41 +376,43 @@ impl Fabric {
     /// Independent link outages are tracked separately and survive a later
     /// [`Fabric::set_node_up`].
     pub fn set_node_down(&mut self, node: NodeId) {
-        self.shared.down_nodes.insert(node);
+        self.down_nodes.insert(node);
         self.rebuild_routes();
     }
 
     /// Bring a router back; only links downed via [`Fabric::set_link_down`]
     /// stay down.
     pub fn set_node_up(&mut self, node: NodeId) {
-        self.shared.down_nodes.remove(&node);
+        self.down_nodes.remove(&node);
         self.rebuild_routes();
     }
 
     /// True if `node`'s router is currently down.
     pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.shared.down_nodes.contains(&node)
+        self.down_nodes.contains(&node)
     }
 
     /// Number of bidirectional links currently forced down (node outages
     /// not included).
     pub fn links_down(&self) -> usize {
-        self.shared.down_links.len() / 2
+        self.down_links.len() / 2
     }
 
     /// The topology this fabric implements.
     pub fn topology(&self) -> Topology {
-        self.shared.topo
+        self.topo
     }
 
     /// The physical configuration.
     pub fn config(&self) -> FabricConfig {
-        self.shared.cfg
+        self.cfg
     }
 
-    /// Smallest cross-router latency; see [`FabricShared::min_hop_latency`].
+    /// The smallest possible time between a send at one router and any
+    /// consequence at another: one router traversal plus one link flight
+    /// (serialization and queueing only add to it).
     pub fn min_hop_latency(&self) -> SimDuration {
-        self.shared.min_hop_latency()
+        self.cfg.router_delay + self.cfg.link_latency
     }
 
     /// Advance `msg`, currently at router `at` at time `now`, by one step.
@@ -502,47 +434,88 @@ impl Fabric {
     /// outcomes and uncontended links). The span tracer uses the wait to
     /// split each hop into its wire and fabric-queue phases.
     pub fn step_traced(&mut self, now: SimTime, at: NodeId, msg: &Message) -> (Step, SimDuration) {
-        let row = self
+        if at == msg.dst {
+            self.delivered.inc();
+            return (Step::Deliver { at: now }, SimDuration::ZERO);
+        }
+        let next = if self.degraded() {
+            match self.routes.get(&(at, msg.dst)) {
+                Some(&hop) => {
+                    if hop != self.next_hop(at, msg.dst) {
+                        self.rerouted.inc();
+                    }
+                    hop
+                }
+                None => {
+                    self.unroutable.inc();
+                    self.dropped.inc();
+                    return (Step::Dropped, SimDuration::ZERO);
+                }
+            }
+        } else {
+            self.next_hop(at, msg.dst)
+        };
+        let wire = msg.wire_bytes();
+        let ser = self.serialization(wire);
+        let enq = now + self.cfg.router_delay;
+        let link = self
             .rows
             .get_mut(at.get() as usize)
-            .unwrap_or_else(|| panic!("router {at} has no link row"));
-        step_row(&self.shared, &mut self.counters, row, now, at, msg)
+            .and_then(|row| row.iter_mut().find(|(n, _)| *n == next))
+            .map(|(_, l)| l)
+            .unwrap_or_else(|| panic!("no physical link {at}->{next}"));
+        // Router traversal, then FIFO on the link serializer, then flight time.
+        let depart = link.server.accept(enq, ser);
+        let queued = depart.saturating_since(enq).saturating_sub(ser);
+        link.messages.inc();
+        link.bytes.add(wire as u64);
+        self.total_hops.inc();
+        if self.cfg.loss_rate > 0.0 && link.loss.chance(self.cfg.loss_rate) {
+            self.dropped.inc();
+            return (Step::Dropped, queued);
+        }
+        (
+            Step::Forward {
+                next,
+                arrive: depart + self.cfg.link_latency,
+            },
+            queued,
+        )
     }
 
     /// Unloaded end-to-end traversal time for a message of `wire_bytes`
     /// over `hops` hops (no queueing). Used by the analytic model and as a
     /// lower bound in tests.
     pub fn unloaded_latency(&self, wire_bytes: u32, hops: u32) -> SimDuration {
-        let per_hop = self.shared.cfg.router_delay
-            + self.shared.cfg.serialization(wire_bytes)
-            + self.shared.cfg.link_latency;
+        let per_hop =
+            self.cfg.router_delay + self.cfg.serialization(wire_bytes) + self.cfg.link_latency;
         per_hop * hops as u64
     }
 
     /// Messages delivered to their destination so far.
     pub fn delivered(&self) -> u64 {
-        self.counters.delivered.get()
+        self.delivered.get()
     }
 
     /// Total link traversals (sum of per-message hop counts).
     pub fn total_hops(&self) -> u64 {
-        self.counters.total_hops.get()
+        self.total_hops.get()
     }
 
     /// Messages lost so far (link errors plus unroutable drops).
     pub fn dropped(&self) -> u64 {
-        self.counters.dropped.get()
+        self.dropped.get()
     }
 
     /// Hops taken that differ from the healthy dimension-order route
     /// (outage-induced detours).
     pub fn rerouted(&self) -> u64 {
-        self.counters.rerouted.get()
+        self.rerouted.get()
     }
 
     /// Messages dropped because no live route to their destination existed.
     pub fn unroutable(&self) -> u64 {
-        self.counters.unroutable.get()
+        self.unroutable.get()
     }
 
     /// Bytes carried by the directed link `u -> v` so far.
@@ -566,7 +539,7 @@ impl Fabric {
     pub fn max_link_backlog(&self, now: SimTime) -> SimDuration {
         self.rows
             .iter()
-            .map(|r| r.max_backlog(now))
+            .map(|r| row_backlog(r, now))
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -577,7 +550,7 @@ impl Fabric {
     pub fn node_link_backlog(&self, now: SimTime, node: NodeId) -> SimDuration {
         self.rows
             .get(node.get() as usize)
-            .map_or(SimDuration::ZERO, |r| r.max_backlog(now))
+            .map_or(SimDuration::ZERO, |r| row_backlog(r, now))
     }
 
     /// Per-node isolation map under the current outage set: `out[id]` is
@@ -585,16 +558,16 @@ impl Fabric {
     /// unusable (a correlated link partition cut it off). Index 0 is an
     /// unused placeholder, mirroring the row layout.
     pub fn isolated_nodes(&self) -> Vec<bool> {
-        let n = self.shared.topo.num_nodes() as usize;
+        let n = self.topo.num_nodes() as usize;
         let mut isolated = vec![true; n + 1];
         isolated[0] = false;
-        for (u, v) in self.shared.topo.links() {
-            if self.shared.usable(u, v) {
+        for (u, v) in self.topo.links() {
+            if self.usable(u, v) {
                 isolated[u.get() as usize] = false;
                 isolated[v.get() as usize] = false;
             }
         }
-        for &d in self.shared.down_nodes.iter() {
+        for &d in self.down_nodes.iter() {
             if let Some(slot) = isolated.get_mut(d.get() as usize) {
                 *slot = true;
             }
@@ -632,78 +605,25 @@ impl Fabric {
             })
             .collect::<Vec<_>>();
         Json::obj([
-            ("delivered", self.counters.delivered.snapshot()),
-            ("total_hops", self.counters.total_hops.snapshot()),
-            ("dropped", self.counters.dropped.snapshot()),
-            ("rerouted", self.counters.rerouted.snapshot()),
-            ("unroutable", self.counters.unroutable.snapshot()),
+            ("delivered", self.delivered.snapshot()),
+            ("total_hops", self.total_hops.snapshot()),
+            ("dropped", self.dropped.snapshot()),
+            ("rerouted", self.rerouted.snapshot()),
+            ("unroutable", self.unroutable.snapshot()),
             ("links_down", Json::from(self.links_down() as u64)),
-            (
-                "nodes_down",
-                Json::from(self.shared.down_nodes.len() as u64),
-            ),
+            ("nodes_down", Json::from(self.down_nodes.len() as u64)),
             ("max_link_utilization", Json::from(max_util)),
             ("links", Json::Arr(links)),
         ])
     }
 }
 
-/// One routing step against decomposed fabric state ([`Fabric::decompose`]):
-/// the shared routing view, the delivery counters, and the current router's
-/// own link row. [`Fabric::step_traced`] is this function applied to the
-/// whole fabric.
-pub fn step_row(
-    shared: &FabricShared,
-    counters: &mut FabricCounters,
-    row: &mut FabricRow,
-    now: SimTime,
-    at: NodeId,
-    msg: &Message,
-) -> (Step, SimDuration) {
-    if at == msg.dst {
-        counters.delivered.inc();
-        return (Step::Deliver { at: now }, SimDuration::ZERO);
-    }
-    let next = if shared.degraded() {
-        match shared.routes.get(&(at, msg.dst)) {
-            Some(&hop) => {
-                if hop != shared.next_hop(at, msg.dst) {
-                    counters.rerouted.inc();
-                }
-                hop
-            }
-            None => {
-                counters.unroutable.inc();
-                counters.dropped.inc();
-                return (Step::Dropped, SimDuration::ZERO);
-            }
-        }
-    } else {
-        shared.next_hop(at, msg.dst)
-    };
-    let wire = msg.wire_bytes();
-    let ser = shared.serialization(wire);
-    let enq = now + shared.cfg.router_delay;
-    let link = row
-        .link_mut(next)
-        .unwrap_or_else(|| panic!("no physical link {at}->{next}"));
-    // Router traversal, then FIFO on the link serializer, then flight time.
-    let depart = link.server.accept(enq, ser);
-    let queued = depart.saturating_since(enq).saturating_sub(ser);
-    link.messages.inc();
-    link.bytes.add(wire as u64);
-    counters.total_hops.inc();
-    if shared.cfg.loss_rate > 0.0 && link.loss.chance(shared.cfg.loss_rate) {
-        counters.dropped.inc();
-        return (Step::Dropped, queued);
-    }
-    (
-        Step::Forward {
-            next,
-            arrive: depart + shared.cfg.link_latency,
-        },
-        queued,
-    )
+/// Largest time-to-drain backlog across one router's outgoing links.
+fn row_backlog(row: &Row, now: SimTime) -> SimDuration {
+    row.iter()
+        .map(|(_, l)| l.server.backlog(now))
+        .max()
+        .unwrap_or(SimDuration::ZERO)
 }
 
 #[cfg(test)]
@@ -925,7 +845,7 @@ mod tests {
         let direct = {
             let mut f = mk_fabric();
             f.set_link_down(n(6), n(7));
-            f.shared.routes.clone()
+            f.routes.clone()
         };
         let with_history = {
             let mut f = mk_fabric();
@@ -934,7 +854,7 @@ mod tests {
             f.set_link_up(n(1), n(2));
             f.set_node_up(n(11));
             f.set_link_down(n(6), n(7));
-            f.shared.routes.clone()
+            f.routes.clone()
         };
         assert_eq!(direct.len(), with_history.len());
         for (k, v) in &direct {
@@ -947,7 +867,7 @@ mod tests {
         for _ in 0..5 {
             let mut f = mk_fabric();
             f.set_link_down(n(6), n(7));
-            assert_eq!(f.shared.routes, direct);
+            assert_eq!(f.routes, direct);
         }
     }
 
@@ -1032,41 +952,8 @@ mod tests {
         assert_eq!(f.delivered(), 10);
         // Flapping must not leak route-table state: a healthy fabric keeps
         // an empty table and the same counters as a never-flapped one.
-        assert!(!f.shared.degraded());
-        assert!(f.shared.routes.is_empty());
-    }
-
-    #[test]
-    fn decomposed_steps_match_the_whole_fabric_path() {
-        // Decomposed stepping (shared + counters + row, as the world's lane
-        // executor drives it) must behave exactly like Fabric::step.
-        let mut whole = mk_fabric();
-        let mut split = mk_fabric();
-        let msg = Message::new(n(1), n(3), MsgKind::ReadReq { bytes: 64 }, 9);
-        let mut at = n(1);
-        let mut now = SimTime::ZERO;
-        loop {
-            let want = whole.step(now, at, &msg);
-            let (shared, counters, rows) = split.decompose();
-            let (got, _) = step_row(
-                shared,
-                counters,
-                &mut rows[at.get() as usize],
-                now,
-                at,
-                &msg,
-            );
-            assert_eq!(got, want);
-            match got {
-                Step::Deliver { .. } | Step::Dropped => break,
-                Step::Forward { next, arrive } => {
-                    at = next;
-                    now = arrive;
-                }
-            }
-        }
-        assert_eq!(split.delivered(), whole.delivered());
-        assert_eq!(split.total_hops(), whole.total_hops());
+        assert!(!f.degraded());
+        assert!(f.routes.is_empty());
     }
 
     #[test]
@@ -1113,7 +1000,7 @@ mod tests {
             for a in (1..=nodes).map(n) {
                 for b in (1..=nodes).map(n).filter(|&b| b != a) {
                     assert_eq!(
-                        f.shared.next_hop(a, b),
+                        f.next_hop(a, b),
                         topo.next_hop(a, b),
                         "{topo:?}: {a} -> {b}"
                     );
@@ -1133,11 +1020,11 @@ mod tests {
                 ..FabricConfig::default()
             };
             let f = Fabric::new(Topology::prototype(), cfg);
-            assert_eq!(f.shared.ser_table.len(), SER_TABLE_MAX_WIRE as usize + 1);
+            assert_eq!(f.ser_table.len(), SER_TABLE_MAX_WIRE as usize + 1);
             let past_end = [65_536, 1 << 20, u32::MAX];
             for wire in (0..=SER_TABLE_MAX_WIRE + 4_096).chain(past_end) {
                 assert_eq!(
-                    f.shared.serialization(wire),
+                    f.serialization(wire),
                     cfg.serialization(wire),
                     "{bytes_per_ns} B/ns, {wire} B"
                 );

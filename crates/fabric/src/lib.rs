@@ -18,13 +18,16 @@
 //!   per-link serialization with FIFO contention, and per-link statistics.
 //!
 //! Forwarding is hop-by-hop: the owning event loop calls
-//! [`fabric::Fabric::step`] once per router visit, keeping link contention
-//! exact under any interleaving of traffic.
+//! [`fabric::Fabric::step`] (or [`fabric::Fabric::step_traced`], which also
+//! reports the message's wait on the link) once per router visit, keeping
+//! link contention exact under any interleaving of traffic. That pair is
+//! the whole forwarding API; the routing tables, link rows and counters
+//! stay private to the [`Fabric`].
 
 pub mod fabric;
 pub mod msg;
 pub mod topology;
 
-pub use fabric::{step_row, Fabric, FabricConfig, FabricCounters, FabricRow, FabricShared, Step};
+pub use fabric::{Fabric, FabricConfig, Step};
 pub use msg::{Message, MsgKind, NodeId};
 pub use topology::Topology;

@@ -78,9 +78,9 @@ pub struct RmcClient {
     aborted: Counter,
     suspects: FastSet<NodeId>,
     /// Destinations the recovery manager has load-shed: the OS defers (or
-    /// fails) new accesses to them until re-admission. Mutated only by
-    /// global manager events, read by lane code — the same partition-safety
-    /// contract as `suspects`.
+    /// fails) new accesses to them until re-admission. Mutated only by the
+    /// manager's ticks and read by the datapath, as `suspects` is mutated
+    /// only by failure declarations and restarts.
     shed: FastSet<NodeId>,
     shed_deferrals: Counter,
     latency: LatencyHistogram,

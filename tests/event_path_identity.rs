@@ -1,9 +1,10 @@
 //! Byte-identity guard for the `World`'s per-event path.
 //!
-//! Every `World` event passes through the calendar event queue and, for
-//! message hops, through `fabric::step_row`. Both are rewritten for speed
-//! from time to time; every such rewrite must leave the simulated outcome
-//! untouched. Two small seeded worlds drive that path, and the constants
+//! Every `World` event passes through the calendar event queue, one
+//! scheduler and the `World`'s handlers and, for message hops, through
+//! `Fabric::step`. All of them are rewritten for speed or simplicity from
+//! time to time; every such rewrite must leave the simulated outcome
+//! untouched. Small seeded worlds drive that path, and the constants
 //! below were recorded once and pin the end clock, the engine's event
 //! count, every thread's outcome counters and every latency histogram.
 //!
@@ -14,12 +15,26 @@
 //! * **Closed-loop threads**: six threads on a 4×4 torus with a lossy
 //!   fabric (far-future loss timers, retransmissions), a link outage and
 //!   its repair (degraded routing), and periodic sampling probes.
+//! * **Coherent DSM**: coherent-read threads whose every miss makes the
+//!   home snoop a six-node domain (probe requests and responses, the
+//!   wait for DRAM and all snoops), next to a plain non-coherent thread,
+//!   traced in Full mode.
+//! * **Sequential scans**: threads streaming zones of different sizes
+//!   end to end, with sampling.
+//! * **Donor crash**: the recovery manager on, a donor crashing under
+//!   load (evacuation, aborted accesses re-aimed at the new home), and
+//!   blocking and posted transactions before and after the threads, the
+//!   later ones aimed at the dead donor so the failure declaration sweeps
+//!   them up. Traced in Full mode.
+//!
+//! The last three also pin an FNV-1a digest of the whole snapshot
+//! document (which embeds the trace summary when tracing is on).
 
 use cohfree::core::world::ThreadSpec;
-use cohfree::core::{FaultEvent, FaultPlan};
+use cohfree::core::{AccessOutcome, FaultEvent, FaultPlan, ManagerConfig, TraceConfig};
 use cohfree::sim::stats::LatencyHistogram;
 use cohfree::workloads::serving::{self, ArrivalSpec, RequestMix, TenantSpec};
-use cohfree::{ClusterConfig, NodeId, SimDuration, SimTime, Topology, World};
+use cohfree::{ClusterConfig, MsgKind, NodeId, SimDuration, SimTime, Topology, World};
 
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
@@ -40,14 +55,63 @@ struct Outcome {
     threads: Vec<ThreadOutcome>,
 }
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |d, b| {
+        (d ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 fn bucket_digest(h: &LatencyHistogram) -> u64 {
-    h.bucket_counts()
-        .iter()
-        .fold(0xCBF2_9CE4_8422_2325, |d, &c| {
-            c.to_le_bytes()
-                .iter()
-                .fold(d, |d, &b| (d ^ b as u64).wrapping_mul(0x0100_0000_01B3))
-        })
+    fnv1a(h.bucket_counts().iter().flat_map(|c| c.to_le_bytes()))
+}
+
+/// One driver call's result: `(outcome, node, instant in ps)`, where
+/// outcome is `'C'`ompleted, `'F'`ailed, `'S'`hed or `'P'` for a posted
+/// write's release instant (node 0).
+type Driven = (char, u16, u64);
+
+fn driven(o: AccessOutcome) -> Driven {
+    match o {
+        AccessOutcome::Completed { at } => ('C', 0, at.as_ps()),
+        AccessOutcome::Failed { node, at } => ('F', node.get(), at.as_ps()),
+        AccessOutcome::Shed { node, at } => ('S', node.get(), at.as_ps()),
+    }
+}
+
+fn done_at(o: AccessOutcome) -> SimTime {
+    match o {
+        AccessOutcome::Completed { at } => at,
+        other => panic!("healthy blocking read did not complete: {other:?}"),
+    }
+}
+
+fn posted(at: SimTime) -> Driven {
+    ('P', 0, at.as_ps())
+}
+
+/// Digest of the world's whole snapshot document.
+fn snapshot_digest(w: &World) -> u64 {
+    fnv1a(w.snapshot().doc.to_string().into_bytes())
+}
+
+/// Spawn a closed-loop thread on `node` over `zones`.
+fn spec(
+    node: u16,
+    zones: Vec<(u64, u64)>,
+    accesses: u64,
+    write_fraction: f64,
+    seed: u64,
+) -> ThreadSpec {
+    ThreadSpec {
+        node: n(node),
+        zones,
+        accesses,
+        bytes: 64,
+        write_fraction,
+        think: SimDuration::ns(10),
+        seed,
+    }
 }
 
 fn outcome(w: &World) -> Outcome {
@@ -162,6 +226,194 @@ fn closed_loop_threads_outcome_is_pinned() {
     assert_eq!(outcome(&w), pinned_threads());
 }
 
+#[test]
+fn coherent_dsm_outcome_is_pinned() {
+    let mut cfg = ClusterConfig::prototype();
+    cfg.trace = TraceConfig::full();
+    let mut w = World::new(cfg);
+    w.set_coherent_domain((1..=6).map(n).collect()).unwrap();
+    let a = w.reserve_remote(n(1), 64, Some(n(2)));
+    let b = w.reserve_remote(n(3), 64, Some(n(6)));
+    let c = w.reserve_remote(n(9), 64, Some(n(2)));
+    w.spawn_coherent_thread(
+        spec(
+            1,
+            vec![(a.prefixed_base, a.frames * 4096)],
+            150,
+            0.0,
+            0xC0_0001,
+        ),
+        SimTime::ZERO,
+    );
+    w.spawn_coherent_thread(
+        spec(
+            3,
+            vec![(b.prefixed_base, b.frames * 4096)],
+            150,
+            0.0,
+            0xC0_0002,
+        ),
+        SimTime::ZERO + SimDuration::ns(300),
+    );
+    w.spawn_thread(
+        spec(
+            9,
+            vec![(c.prefixed_base, c.frames * 4096)],
+            150,
+            0.3,
+            0xC0_0003,
+        ),
+        SimTime::ZERO,
+    );
+    w.run();
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w)),
+        (pinned_coherent(), 0x16FF_495E_580F_2CD4)
+    );
+}
+
+#[test]
+fn sequential_scan_outcome_is_pinned() {
+    let mut w = World::new(ClusterConfig::prototype());
+    w.enable_sampling(SimDuration::us(5));
+    let big = w.reserve_remote(n(1), 3, Some(n(8)));
+    let small = w.reserve_remote(n(1), 1, Some(n(13)));
+    let far = w.reserve_remote(n(16), 2, Some(n(1)));
+    let zones = vec![
+        (big.prefixed_base, big.frames * 4096),
+        (small.prefixed_base, small.frames * 4096 / 2),
+    ];
+    w.spawn_sequential_thread(spec(1, zones.clone(), 500, 0.2, 0x5E_0001), SimTime::ZERO);
+    w.spawn_sequential_thread(spec(1, zones, 300, 0.0, 0x5E_0002), SimTime::ZERO);
+    w.spawn_sequential_thread(
+        spec(
+            16,
+            vec![(far.prefixed_base, far.frames * 4096)],
+            400,
+            0.5,
+            0x5E_0003,
+        ),
+        SimTime::ZERO + SimDuration::us(1),
+    );
+    w.run();
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w)),
+        (pinned_sequential(), 0xD5D0_4DE3_11AA_59C0)
+    );
+}
+
+#[test]
+fn donor_crash_with_recovery_outcome_is_pinned() {
+    let mut cfg = ClusterConfig::prototype();
+    cfg.trace = TraceConfig::full();
+    cfg.manager = ManagerConfig::enabled();
+    cfg.recovery.max_retries = 4;
+    cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
+        at: SimTime::ZERO + SimDuration::us(30),
+        node: n(7),
+    });
+    let mut w = World::new(cfg);
+    let z1 = w.reserve_remote(n(1), 64, Some(n(7)));
+    let z1b = w.reserve_remote(n(1), 64, Some(n(11)));
+    let z5 = w.reserve_remote(n(5), 64, Some(n(7)));
+    let z12 = w.reserve_remote(n(12), 64, Some(n(16)));
+    let z3 = w.reserve_remote(n(3), 16, Some(n(7)));
+    let read = MsgKind::ReadReq { bytes: 64 };
+    let write = MsgKind::WriteReq { bytes: 64 };
+    // Drivers before the threads: blocking reads, posted writes.
+    let mut drivers = Vec::new();
+    let mut t = SimTime::ZERO;
+    for k in 0..3 {
+        let addr = z1.prefixed_base + k * 64;
+        let done = w.try_blocking_transaction(t, n(1), n(7), read, addr);
+        drivers.push(driven(done));
+        t = done_at(done);
+    }
+    for k in 0..4 {
+        t = w.posted_transaction(t, n(1), n(7), write, z1.prefixed_base + 4096 + k * 64);
+        drivers.push(posted(t));
+    }
+    t = w.posted_transaction(t, n(2), n(11), write, z1b.prefixed_base);
+    drivers.push(posted(t));
+    // Threads: two of them lean on the donor that crashes.
+    w.spawn_thread(
+        spec(
+            1,
+            vec![
+                (z1.prefixed_base, z1.frames * 4096),
+                (z1b.prefixed_base, z1b.frames * 4096),
+            ],
+            300,
+            0.3,
+            0xD0_0001,
+        ),
+        t,
+    );
+    w.spawn_thread(
+        spec(
+            5,
+            vec![(z5.prefixed_base, z5.frames * 4096)],
+            300,
+            0.1,
+            0xD0_0002,
+        ),
+        t,
+    );
+    w.spawn_thread(
+        spec(
+            12,
+            vec![(z12.prefixed_base, z12.frames * 4096)],
+            300,
+            0.5,
+            0xD0_0003,
+        ),
+        t,
+    );
+    w.run();
+    // Drivers after the threads. Node 3 never talked to the dead donor, so
+    // its blocking read exhausts the retry budget and the declaration
+    // sweeps it up; the posted writes behind it are swept up the same way.
+    let t = w.now();
+    drivers.push(driven(w.try_blocking_transaction(
+        t,
+        n(3),
+        n(7),
+        read,
+        z3.prefixed_base,
+    )));
+    drivers.push(driven(w.try_blocking_transaction(
+        t,
+        n(1),
+        n(7),
+        read,
+        z1.prefixed_base,
+    )));
+    let mut t = w.now();
+    for k in 0..2 {
+        t = w.posted_transaction(t, n(5), n(7), write, z5.prefixed_base + k * 64);
+        drivers.push(posted(t));
+    }
+    t = w.posted_transaction(t, n(12), n(16), write, z12.prefixed_base);
+    drivers.push(posted(t));
+    drivers.push(posted(w.drain_background()));
+    drivers.push(driven(w.try_blocking_transaction(
+        w.now(),
+        n(12),
+        n(16),
+        read,
+        z12.prefixed_base,
+    )));
+    assert_eq!(w.pending_count(), 0);
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w), drivers),
+        (
+            pinned_crash(),
+            0xC220_40E0_A2EA_BE08,
+            pinned_crash_drivers()
+        )
+    );
+}
+
 /// The serving world's outcome, recorded before the event path's rewrite.
 #[rustfmt::skip]
 fn pinned_serving() -> Outcome {
@@ -207,4 +459,74 @@ fn pinned_threads() -> Outcome {
             (721_049_700, 400, 0, 0, 0, 0, None),
         ],
     }
+}
+
+/// The coherent-DSM world's outcome, recorded before the lane executor
+/// was folded into the `World`.
+#[rustfmt::skip]
+fn pinned_coherent() -> Outcome {
+    Outcome {
+        now_ps: 246_415_000,
+        events: 9_900,
+        fabric: (3_300, 5_700, 0, 0),
+        threads: vec![
+            (203_760_000, 150, 0, 0, 0, 0, None),
+            (246_415_000, 150, 0, 0, 0, 0, None),
+            (202_747_000, 150, 0, 0, 0, 0, None),
+        ],
+    }
+}
+
+/// The sequential-scan world's outcome, recorded before the lane executor
+/// was folded into the `World`.
+#[rustfmt::skip]
+fn pinned_sequential() -> Outcome {
+    Outcome {
+        now_ps: 810_000_000,
+        events: 15_970,
+        fabric: (2_400, 11_008, 0, 0),
+        threads: vec![
+            (805_663_000, 500, 0, 0, 0, 0, None),
+            (519_287_000, 300, 0, 0, 0, 0, None),
+            (720_455_500, 400, 0, 0, 0, 0, None),
+        ],
+    }
+}
+
+/// The donor-crash world's outcome, recorded before the lane executor was
+/// folded into the `World`.
+#[rustfmt::skip]
+fn pinned_crash() -> Outcome {
+    Outcome {
+        now_ps: 3_862_085_392,
+        events: 8_837,
+        fabric: (1_822, 3_954, 20, 849),
+        threads: vec![
+            (364_568_500, 300, 0, 0, 0, 0, None),
+            (583_630_000, 300, 0, 0, 0, 1, None),
+            (283_790_000, 300, 0, 0, 0, 0, None),
+        ],
+    }
+}
+
+/// What the donor-crash world's blocking and posted drivers returned.
+#[rustfmt::skip]
+fn pinned_crash_drivers() -> Vec<Driven> {
+    vec![
+        ('C', 0, 1_278_000),
+        ('C', 0, 2_556_000),
+        ('C', 0, 3_834_000),
+        ('P', 0, 4_134_000),
+        ('P', 0, 4_434_000),
+        ('P', 0, 4_734_000),
+        ('P', 0, 5_412_000),
+        ('P', 0, 5_712_000),
+        ('F', 7, 1_726_306_920),
+        ('F', 7, 2_794_201_992),
+        ('P', 0, 2_794_501_992),
+        ('P', 0, 2_794_801_992),
+        ('P', 0, 2_795_101_992),
+        ('P', 0, 3_861_449_392),
+        ('C', 0, 3_862_385_392),
+    ]
 }

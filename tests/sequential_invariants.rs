@@ -116,6 +116,13 @@ fn fingerprint(w: &World) -> String {
     out
 }
 
+/// FNV-1a digest of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |d, &b| {
+        (d ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 /// Self-profiling records entirely out-of-band: every observable byte is
 /// identical with metrics off or on, through a crash, loss (suspect
 /// timers), sampling and Full tracing all at once. Enabling the tier
@@ -225,7 +232,8 @@ fn drain_between_probe_ticks_closes_the_sample_series() {
 /// Fault churn with the online recovery manager: crash + restart, a link
 /// flap, a server stall, loss and a tight retry budget, so the manager's
 /// control loop runs alongside failure detection and evacuation. A
-/// same-seed rerun must reproduce every observable byte.
+/// same-seed rerun must reproduce every observable byte, and those bytes
+/// are pinned by their FNV-1a digest and length.
 #[test]
 fn fault_churn_manager_world_reruns_byte_identically() {
     let mut cfg = ClusterConfig::prototype();
@@ -263,10 +271,16 @@ fn fault_churn_manager_world_reruns_byte_identically() {
         first.manager().is_some() && !first.fault_log().is_empty(),
         "the manager and the fault plan must both be live"
     );
+    let print = fingerprint(&first);
     assert_eq!(
-        fingerprint(&first),
+        print,
         fingerprint(&run_world(cfg, &specs)),
         "same-seed rerun diverged"
+    );
+    assert_eq!(
+        (fnv1a(print.as_bytes()), print.len()),
+        (0x9DEC_4469_1FCE_A6BF, 271_071),
+        "fingerprint differs from the one recorded before the lane executor was folded into the World"
     );
 }
 
