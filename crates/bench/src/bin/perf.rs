@@ -12,10 +12,10 @@
 //! tolerance factor. See `cohfree_bench::perf` for the baseline policy.
 //!
 //! With `--metrics-overhead`, measures the self-profiling registry's cost
-//! on the big-world row (off vs on, same run, same machine) and
-//! exits non-zero if enabling it costs more than
-//! `--metrics-max-regression` (default 0.03 = 3%) of events/second — the
-//! teeth behind the registry's zero-cost-when-off contract.
+//! on the big-world row (interleaved off/on pairs, same run, same machine)
+//! and exits non-zero if the median per-pair on/off events/second ratio
+//! falls more than `--metrics-max-regression` (default 0.03 = 3%) below
+//! one — the teeth behind the registry's zero-cost-when-off contract.
 
 use cohfree_bench::perf;
 use cohfree_core::Json;
@@ -78,13 +78,16 @@ fn main() {
     }
 
     if metrics_gate {
-        let (off_eps, on_eps) = perf::metrics_overhead();
+        let m = perf::metrics_overhead();
         // Positive = the enabled registry costs throughput.
-        let regression = 1.0 - on_eps / off_eps.max(1e-9);
+        let regression = 1.0 - m.ratio;
+        let (on, off, pairs) = (m.on_eps, m.off_eps, perf::OVERHEAD_PAIRS);
         if regression > metrics_max_regression {
             eprintln!(
-                "perf: metrics registry too costly: {on_eps:.0} events/s on vs \
-                 {off_eps:.0} off ({:.2}% regression, bound {:.2}%)",
+                "perf: metrics registry too costly: median on/off ratio over {pairs} \
+                 pairs {:.4} ({on:.0} vs {off:.0} events/s; {:.2}% regression, \
+                 bound {:.2}%)",
+                m.ratio,
                 regression * 100.0,
                 metrics_max_regression * 100.0
             );
@@ -92,8 +95,9 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf: metrics overhead ok — {on_eps:.0} events/s on vs {off_eps:.0} off \
-             ({:+.2}%)",
+            "perf: metrics overhead ok — median on/off ratio over {pairs} pairs {:.4} \
+             ({on:.0} vs {off:.0} events/s; {:+.2}%)",
+            m.ratio,
             -regression * 100.0
         );
     }

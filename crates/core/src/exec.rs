@@ -13,7 +13,10 @@
 //! Each runs on the *lane* of the node it touches. The whole-world events
 //! (`Sample`, `Fault`, `Suspect`, `Manager`) and the drivers live in
 //! `crate::world`; every event, from anywhere, is scheduled through
-//! [`World::sched`].
+//! [`World::sched`] — except that a blocking transaction that finds
+//! nothing else pending runs as a direct chain of the `Hop` and `MemDone`
+//! handlers ([`World::run_alone`]) with the queue path's bookkeeping:
+//! there each handler returns its one successor instead of scheduling it.
 //!
 //! ## Content-determined event keys
 //!
@@ -216,16 +219,24 @@ impl World {
         self.cursor.lane = GLOBAL_LANE;
     }
 
-    /// [`Ev::Hop`]: `msg` is at router `at`.
-    pub(crate) fn hop(&mut self, now: SimTime, msg: Message, at: NodeId) {
+    /// [`Ev::Hop`]: `msg` is at router `at`. The hop's one successor (the
+    /// next hop, or the home DRAM's completion of a request) goes through
+    /// [`World::successor`]; the coherent choreography and a completion's
+    /// owner schedule their own follow-ups.
+    pub(crate) fn hop<const ALONE: bool>(
+        &mut self,
+        now: SimTime,
+        msg: Message,
+        at: NodeId,
+    ) -> Option<(SimTime, Ev)> {
         let (step, queued) = self.fabric.step_traced(now, at, &msg);
         match step {
             Step::Forward { next, arrive } => {
                 self.trace_hop(&msg, at, now, arrive, queued);
-                self.sched(arrive, Ev::Hop { msg, at: next });
+                self.successor::<ALONE>(arrive, Ev::Hop { msg, at: next })
             }
             // Lost on a link; the requester's timeout recovers it.
-            Step::Dropped => {}
+            Step::Dropped => None,
             Step::Deliver { at: t } => match msg.kind {
                 // --- coherent-DSM baseline choreography ---
                 MsgKind::ProbeReq => {
@@ -237,6 +248,7 @@ impl World {
                             at: resp.src,
                         },
                     );
+                    None
                 }
                 MsgKind::ProbeResp => {
                     let done = self.nodes[msg.dst.index()].server.on_probe_response(t);
@@ -246,6 +258,7 @@ impl World {
                         .expect("probe response for unknown coherent transaction");
                     st.awaiting_probes -= 1;
                     self.try_finish_coherent(msg.tag, done);
+                    None
                 }
                 MsgKind::CohReadReq { .. } => {
                     let home = msg.dst;
@@ -282,6 +295,7 @@ impl World {
                             },
                         );
                     }
+                    None
                 }
                 // --- ordinary (non-coherent) paths ---
                 _ if msg.kind.is_response() => {
@@ -302,6 +316,7 @@ impl World {
                         }
                         self.complete(comp);
                     }
+                    None
                 }
                 _ => {
                     let home = msg.dst;
@@ -322,14 +337,21 @@ impl World {
                             done,
                         );
                     }
-                    self.sched(done, Ev::MemDone { msg, arrived: t });
+                    self.successor::<ALONE>(done, Ev::MemDone { msg, arrived: t })
                 }
             },
         }
     }
 
-    /// [`Ev::MemDone`]: the home DRAM finished serving `msg`.
-    pub(crate) fn mem_done(&mut self, now: SimTime, msg: Message, arrived: SimTime) {
+    /// [`Ev::MemDone`]: the home DRAM finished serving `msg`. The
+    /// response's first hop goes through [`World::successor`]; a coherent
+    /// read schedules its own once every snoop is in.
+    pub(crate) fn mem_done<const ALONE: bool>(
+        &mut self,
+        now: SimTime,
+        msg: Message,
+        arrived: SimTime,
+    ) -> Option<(SimTime, Ev)> {
         if matches!(msg.kind, MsgKind::CohReadReq { .. }) {
             let st = self
                 .coh
@@ -337,6 +359,7 @@ impl World {
                 .expect("memory completion for unknown coherent transaction");
             st.mem_done = Some(now);
             self.try_finish_coherent(msg.tag, now);
+            None
         } else {
             let (resp, inject_at) = self.nodes[msg.dst.index()]
                 .server
@@ -349,13 +372,27 @@ impl World {
                 self.trace
                     .push(msg.tag, Phase::Reply, home, svc_start.max(now), inject_at);
             }
-            self.sched(
+            self.successor::<ALONE>(
                 inject_at,
                 Ev::Hop {
                     msg: resp,
                     at: resp.src,
                 },
-            );
+            )
+        }
+    }
+
+    /// Pass a datapath handler's one successor on: on the queue path
+    /// schedule it and return `None`, exactly as the handler always did;
+    /// in a lone chain (`ALONE`, [`World::run_alone`]) return it to be run
+    /// next, without touching the queue.
+    #[inline(always)]
+    fn successor<const ALONE: bool>(&mut self, at: SimTime, ev: Ev) -> Option<(SimTime, Ev)> {
+        if ALONE {
+            Some((at, ev))
+        } else {
+            self.sched(at, ev);
+            None
         }
     }
 
@@ -382,8 +419,16 @@ impl World {
     /// The client RMC completed a transaction: tell its owner.
     fn complete(&mut self, comp: Completion) {
         self.trace.finish(comp.tag, comp.done_at, false);
-        match self.pending.remove(&comp.tag).map(|p| p.owner) {
-            Some(Owner::Thread(id)) => {
+        let owner = match self.pending.remove(&comp.tag) {
+            Some(p) => p.owner,
+            // A lone blocking transaction never enters `pending`
+            // ([`World::launch`]); only its chain runs a hop with the
+            // cursor closed ([`World::run_alone`]).
+            None if self.cursor.lane == GLOBAL_LANE => Owner::Sync,
+            None => panic!("completion for unowned tag {:#x}", comp.tag),
+        };
+        match owner {
+            Owner::Thread(id) => {
                 let th = &mut self.threads[id];
                 th.completed += 1;
                 // Serving threads record the end-to-end latency a user
@@ -395,9 +440,8 @@ impl World {
                 }
                 self.thread_resolved(comp.done_at, id);
             }
-            Some(Owner::Sync) => self.sync_done = Some((comp.tag, comp.done_at)),
-            Some(Owner::Posted) => {} // fire-and-forget acknowledged
-            None => panic!("completion for unowned tag {:#x}", comp.tag),
+            Owner::Sync => self.sync_done = Some((comp.tag, comp.done_at)),
+            Owner::Posted => {} // fire-and-forget acknowledged
         }
     }
 
@@ -414,12 +458,18 @@ impl World {
         }
     }
 
+    /// Whether messages can be lost, so every transaction carries a
+    /// loss-recovery timer ([`World::arm_timeout`]).
+    fn timers_armed(&self) -> bool {
+        self.cfg.fabric.loss_rate > 0.0 || !self.cfg.faults.is_empty()
+    }
+
     /// Arm the loss-recovery timer for `tag` if messages can be lost — a
     /// lossy fabric, or any fault plan (crashes and outages swallow traffic
     /// even over lossless links). The k-th retry backs off exponentially
     /// ([`backoff_delay`]).
     pub(crate) fn arm_timeout(&mut self, injected_at: SimTime, tag: u64, attempt: u32) {
-        if self.cfg.fabric.loss_rate > 0.0 || !self.cfg.faults.is_empty() {
+        if self.timers_armed() {
             let delay = backoff_delay(&self.cfg, tag, attempt);
             self.sched(
                 injected_at.saturating_add(delay),
@@ -534,7 +584,8 @@ impl World {
                     // first offer (its arrival, for open-loop threads).
                     th.inflight_since = Some(first_offer);
                 }
-                self.launch(Owner::Thread(id), first_offer, now, msg, inject_at);
+                let alone = self.launch(Owner::Thread(id), first_offer, now, msg, inject_at);
+                debug_assert!(alone.is_none(), "only blocking drivers run alone");
             }
             Submit::Nacked { retry_at } => {
                 let th = &mut self.threads[id];
@@ -551,6 +602,14 @@ impl World {
     /// first hop and arm its loss-recovery timer. `first_offer` is when the
     /// core first wanted the access out (it may precede `accepted_at` by
     /// NACK rounds).
+    ///
+    /// A blocking (`Sync`) submission that runs alone — nothing else
+    /// pending, no timer to arm, not a coherent read — is neither recorded
+    /// nor scheduled: its first hop is returned for [`World::run_alone`],
+    /// and only the global sequence number its schedule would have taken
+    /// is spent. Within the chain only its completion would read the
+    /// pending entry, and it knows the owner; the snapshot and the tracer
+    /// never read the map.
     pub(crate) fn launch(
         &mut self,
         owner: Owner,
@@ -558,7 +617,14 @@ impl World {
         accepted_at: SimTime,
         msg: Message,
         inject_at: SimTime,
-    ) {
+    ) -> Option<(SimTime, Ev)> {
+        self.trace_submitted(first_offer, accepted_at, &msg, inject_at);
+        let first = Ev::Hop { msg, at: msg.src };
+        if matches!(owner, Owner::Sync) && self.runs_alone(&msg) {
+            debug_assert!(self.cursor.lane == GLOBAL_LANE, "drivers launch globally");
+            self.gseq += 1;
+            return Some((inject_at, first));
+        }
         self.pending.insert(
             msg.tag,
             PendingTx {
@@ -567,9 +633,62 @@ impl World {
                 attempt: 0,
             },
         );
-        self.trace_submitted(first_offer, accepted_at, &msg, inject_at);
-        self.sched(inject_at, Ev::Hop { msg, at: msg.src });
+        self.sched(inject_at, first);
         self.arm_timeout(inject_at, msg.tag, 0);
+        None
+    }
+
+    /// Whether a blocking transaction launching `msg` is alone in the
+    /// world: nothing else is pending, no loss-recovery timer gets armed,
+    /// and it is not a coherent read (whose home fans out snoops). Its
+    /// events then form a closed chain — each hop and DRAM completion has
+    /// exactly one successor until the completion, which has none.
+    fn runs_alone(&self, msg: &Message) -> bool {
+        #[cfg(test)]
+        if self.force_queue {
+            return false;
+        }
+        self.queue.is_empty()
+            && !self.timers_armed()
+            && !matches!(msg.kind, MsgKind::CohReadReq { .. })
+    }
+
+    /// Run a lone blocking transaction ([`World::runs_alone`]) from its
+    /// first hop `ev` at `at` to completion as a direct chain of the
+    /// datapath handlers, without the event queue; returns the instant the
+    /// core observes the completion.
+    ///
+    /// The bookkeeping matches the queue path exactly, so every later key
+    /// and every report byte is unchanged: each chained event advances its
+    /// lane's execution ordinal (as [`World::open_cursor`] would), and the
+    /// queue counts the chain's events and moves its clock to the last
+    /// one. No key is built — no chained event ever meets another event —
+    /// and no node is dead, since a world with faults arms timers.
+    pub(crate) fn run_alone(&mut self, mut at: SimTime, mut ev: Ev) -> SimTime {
+        let mut ran = 0;
+        loop {
+            ran += 1;
+            let next = match ev {
+                Ev::Hop { msg, at: node } => {
+                    self.exec_counts[node.index()] += 1;
+                    self.hop::<true>(at, msg, node)
+                }
+                Ev::MemDone { msg, arrived } => {
+                    self.exec_counts[msg.dst.index()] += 1;
+                    self.mem_done::<true>(at, msg, arrived)
+                }
+                _ => unreachable!("a lone transaction runs only hops and DRAM completions"),
+            };
+            debug_assert!(self.queue.is_empty(), "a lone chain event scheduled");
+            let Some((t, e)) = next else { break };
+            (at, ev) = (t, e);
+        }
+        self.queue.ran_outside(ran, at);
+        let (_, done) = self
+            .sync_done
+            .take()
+            .expect("blocking transaction lost (chain ended)");
+        done
     }
 
     /// Open a trace for an accepted submission and attribute its stall,
@@ -691,6 +810,173 @@ impl Thread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::{AccessOutcome, ThreadSpec};
+    use cohfree_fabric::Topology;
+    use cohfree_sim::span::TraceMode;
+    use cohfree_sim::Rng;
+
+    /// One driver call of the differential test below.
+    #[derive(Clone, Copy, Debug)]
+    enum Call {
+        Blocking(NodeId, NodeId, MsgKind, u64, SimDuration),
+        Posted(NodeId, NodeId, MsgKind, u64),
+        Drain,
+        Threads(u64, u64),
+        Sampling,
+    }
+
+    /// Everything a caller can observe of a world between calls, plus the
+    /// ordinals later keys derive from.
+    fn observe(w: &World) -> (SimTime, u64, u64, Vec<u64>, usize) {
+        (
+            w.now(),
+            w.events_processed(),
+            w.gseq,
+            w.exec_counts.clone(),
+            w.pending_count(),
+        )
+    }
+
+    /// Run `call` on `w`. Thread phases read the zones node 1 borrowed
+    /// from node 2 and node 5 from node 6 (`zones[0]` and `zones[2]`), so
+    /// their lanes share homes with the drivers.
+    fn apply(
+        w: &mut World,
+        call: Call,
+        zones: &[(NodeId, NodeId, u64)],
+    ) -> Option<(char, SimTime)> {
+        let now = w.now();
+        match call {
+            Call::Blocking(src, dst, kind, addr, delay) => Some(
+                match w.try_blocking_transaction(now + delay, src, dst, kind, addr) {
+                    AccessOutcome::Completed { at } => ('C', at),
+                    AccessOutcome::Failed { at, .. } => ('F', at),
+                    AccessOutcome::Shed { at, .. } => ('S', at),
+                },
+            ),
+            Call::Posted(src, dst, kind, addr) => {
+                Some(('P', w.posted_transaction(now, src, dst, kind, addr)))
+            }
+            Call::Drain => Some(('D', w.drain_background())),
+            Call::Threads(n, seed) => {
+                for k in 0..n {
+                    let (node, base) = [(3, zones[0].2), (12, zones[2].2)][(k % 2) as usize];
+                    let spec = ThreadSpec {
+                        node: NodeId::new(node),
+                        zones: vec![(base, 16 * 4096)],
+                        accesses: 40,
+                        bytes: 64,
+                        write_fraction: 0.3,
+                        think: SimDuration::ns(20),
+                        seed: seed ^ k,
+                    };
+                    w.spawn_thread(spec, now);
+                }
+                w.run();
+                None
+            }
+            Call::Sampling => {
+                w.enable_sampling(SimDuration::us(1));
+                None
+            }
+        }
+    }
+
+    /// The lone chain and the queue path are the same driver to everyone
+    /// but the profiler. Seeded random sequences of blocking, posted and
+    /// drain calls (mixed homes and hop counts, reads and writes of 64 B
+    /// to 4 KiB, some coherent reads, thread phases and sampling in
+    /// between) go to two worlds, one forced onto the queue path. After
+    /// every call the result, clock, event count, global sequence number,
+    /// per-lane ordinals and pending count must match; at the end, the
+    /// whole snapshot document and the Chrome span export.
+    #[test]
+    fn lone_chain_matches_the_queue_path() {
+        let mut lone = 0u64;
+        for seed in 0..12u64 {
+            let mut rng = Rng::new(0x10E_C4A1 ^ seed);
+            let mut cfg = ClusterConfig::prototype();
+            cfg.topology = match seed % 3 {
+                0 => Topology::prototype(),
+                1 => Topology::Torus2D {
+                    width: 4,
+                    height: 4,
+                },
+                _ => Topology::Ring { nodes: 16 },
+            };
+            cfg.trace.mode =
+                [TraceMode::Off, TraceMode::Aggregate, TraceMode::Full][(seed / 3 % 3) as usize];
+            let coherent = seed % 4 == 3;
+            let mut worlds = [World::new(cfg), World::new(cfg)];
+            worlds[1].force_queue = true;
+            let mut zones = Vec::new();
+            for w in &mut worlds {
+                if coherent {
+                    w.set_coherent_domain((1..=6).map(NodeId::new).collect())
+                        .unwrap();
+                }
+                zones = [(1, 2), (1, 16), (5, 6), (5, 11), (14, 4)]
+                    .iter()
+                    .map(|&(c, d)| {
+                        let (c, d) = (NodeId::new(c), NodeId::new(d));
+                        (c, d, w.reserve_remote(c, 16, Some(d)).prefixed_base)
+                    })
+                    .collect::<Vec<_>>();
+            }
+            let mut sampling = false;
+            for step in 0..400 {
+                let (src, dst, base) = zones[rng.below(zones.len() as u64) as usize];
+                let addr = base + rng.below(16) * 4096 + rng.below(64) * 64;
+                let bytes = [64, 64, 128, 4096][rng.below(4) as usize];
+                let call = match rng.below(100) {
+                    0..=54 => {
+                        let kind = match rng.below(4) {
+                            0 => MsgKind::WriteReq { bytes },
+                            1 if coherent && dst.get() <= 6 && src.get() <= 6 => {
+                                MsgKind::CohReadReq { bytes }
+                            }
+                            _ => MsgKind::ReadReq { bytes },
+                        };
+                        let delay = SimDuration::ns(rng.below(4) * 150);
+                        Call::Blocking(src, dst, kind, addr, delay)
+                    }
+                    55..=84 => Call::Posted(src, dst, MsgKind::WriteReq { bytes }, addr),
+                    85..=94 => Call::Drain,
+                    95..=98 => Call::Threads(rng.range(1, 4), rng.next_u64()),
+                    // The probe is armed once: two probes would keep each
+                    // other re-arming.
+                    _ if seed % 2 == 1 && !sampling && step > 200 => {
+                        sampling = true;
+                        Call::Sampling
+                    }
+                    _ => Call::Drain,
+                };
+                if matches!(
+                    call,
+                    Call::Blocking(.., MsgKind::ReadReq { .. } | MsgKind::WriteReq { .. }, _, _)
+                ) && worlds[0].queue.is_empty()
+                {
+                    lone += 1;
+                }
+                let got: Vec<_> = worlds
+                    .iter_mut()
+                    .map(|w| (apply(w, call, &zones), observe(w)))
+                    .collect();
+                assert_eq!(got[0], got[1], "seed {seed}, step {step}: {call:?}");
+            }
+            let docs: Vec<_> = worlds
+                .iter()
+                .map(|w| {
+                    (
+                        w.snapshot().doc.to_string(),
+                        w.trace().chrome_trace().to_string(),
+                    )
+                })
+                .collect();
+            assert!(docs[0] == docs[1], "seed {seed}: snapshot or trace differs");
+        }
+        assert!(lone > 1_000, "the lone chain ran only {lone} times");
+    }
 
     #[test]
     fn backoff_delay_is_monotone_and_never_wraps() {

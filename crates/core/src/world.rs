@@ -419,6 +419,10 @@ pub struct World {
     pub(crate) exec_counts: Vec<u64>,
     /// The lane event being handled, if any ([`World::sched`]).
     pub(crate) cursor: exec::Cursor,
+    /// Keep every blocking transaction on the event queue, so tests can
+    /// compare the lone chain ([`World::run_alone`]) with the queue path.
+    #[cfg(test)]
+    pub(crate) force_queue: bool,
 }
 
 impl World {
@@ -518,6 +522,8 @@ impl World {
             gseq: 0,
             exec_counts: vec![0; n as usize],
             cursor: exec::Cursor::default(),
+            #[cfg(test)]
+            force_queue: false,
             cfg,
         };
         let faults: Vec<FaultEvent> = world.cfg.faults.events().collect();
@@ -741,13 +747,15 @@ impl World {
         if lane_event {
             self.open_cursor(now, key);
         }
+        // The queue path's datapath handlers schedule their successor
+        // themselves and return `None`.
         match ev {
             // A message at a crashed router vanishes with the router.
             Ev::Hop { at, .. } if self.dead[at.index()] => {}
-            Ev::Hop { msg, at } => self.hop(now, msg, at),
+            Ev::Hop { msg, at } => _ = self.hop::<false>(now, msg, at),
             // The DRAM completion of a node that crashed mid-service.
             Ev::MemDone { msg, .. } if self.dead[msg.dst.index()] => {}
-            Ev::MemDone { msg, arrived } => self.mem_done(now, msg, arrived),
+            Ev::MemDone { msg, arrived } => _ = self.mem_done::<false>(now, msg, arrived),
             Ev::ThreadWake { id } => self.thread_step(now, id),
             Ev::Timeout { tag, attempt } => self.on_timeout(now, tag, attempt),
             Ev::Sample => self.take_sample(now),
@@ -1261,8 +1269,14 @@ impl World {
             self.threads.iter().all(|t| t.finished.is_some()),
             "blocking_transaction while traffic threads are active"
         );
-        if let Err(refused) = self.submit(start, src, dst, kind, addr, Owner::Sync) {
-            return refused;
+        let alone = match self.submit(start, src, dst, kind, addr, Owner::Sync) {
+            Ok((_, alone)) => alone,
+            Err(refused) => return refused,
+        };
+        if let Some((at, ev)) = alone {
+            return AccessOutcome::Completed {
+                at: self.run_alone(at, ev),
+            };
         }
         loop {
             if let Some((_, done)) = self.sync_done.take() {
@@ -1297,18 +1311,19 @@ impl World {
         addr: u64,
     ) -> SimTime {
         match self.submit(start, src, dst, kind, addr, Owner::Posted) {
-            Ok(inject_at) => inject_at,
+            Ok((inject_at, _)) => inject_at,
             Err(refused) => unreachable!("posted writes are never refused: {refused:?}"),
         }
     }
 
     /// Submit one driver access for `owner` (`Sync` or `Posted`) at `start`
     /// or the engine clock, whichever is later, and put it in flight;
-    /// returns its injection instant. While every request slot is busy the
-    /// core stalls at the interface: the queue is pumped up to each NACK's
-    /// retry instant, so slots held by in-flight (e.g. posted) traffic can
-    /// free. A blocking access is refused instead — before each offer —
-    /// when its home is declared failed or load-shed.
+    /// returns its injection instant and, for a blocking access that runs
+    /// alone, its first hop ([`World::launch`]). While every request slot
+    /// is busy the core stalls at the interface: the queue is pumped up to
+    /// each NACK's retry instant, so slots held by in-flight (e.g. posted)
+    /// traffic can free. A blocking access is refused instead — before each
+    /// offer — when its home is declared failed or load-shed.
     fn submit(
         &mut self,
         start: SimTime,
@@ -1317,7 +1332,7 @@ impl World {
         kind: MsgKind,
         addr: u64,
         owner: Owner,
-    ) -> Result<SimTime, AccessOutcome> {
+    ) -> Result<(SimTime, Option<(SimTime, Ev)>), AccessOutcome> {
         let mut t = start.max(self.queue.now());
         let t_first = t;
         loop {
@@ -1334,8 +1349,8 @@ impl World {
             }
             match client.submit(t, dst, kind, addr) {
                 Submit::Accepted { msg, inject_at } => {
-                    self.launch(owner, t_first, t, msg, inject_at);
-                    return Ok(inject_at);
+                    let alone = self.launch(owner, t_first, t, msg, inject_at);
+                    return Ok((inject_at, alone));
                 }
                 Submit::Nacked { retry_at } => {
                     while self.queue.peek_time().is_some_and(|pt| pt <= retry_at) {

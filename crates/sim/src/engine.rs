@@ -322,6 +322,23 @@ impl<E> EventQueue<E> {
         Some((at, key, event))
     }
 
+    /// Account for `n` events that ran outside the queue, in order, the
+    /// last at `at`: the clock moves to `at` and [`EventQueue::processed`]
+    /// counts them, exactly as if they had been scheduled and popped.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current clock or later than a
+    /// pending event.
+    pub fn ran_outside(&mut self, n: u64, at: SimTime) {
+        assert!(
+            at >= self.now && self.peek_time().is_none_or(|t| t >= at),
+            "events ran outside the queue out of order: at={at}, now={now}",
+            now = self.now
+        );
+        self.now = at;
+        self.processed += n;
+    }
+
     /// Drain and drop all pending events without advancing the clock.
     /// The sequence counter keeps counting, so ordering guarantees span
     /// a clear.
@@ -607,6 +624,27 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn ran_outside_counts_the_events_and_moves_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), 1u8);
+        q.pop();
+        q.ran_outside(3, SimTime(40));
+        assert_eq!((q.now(), q.processed()), (SimTime(40), 4));
+        // The queue carries on from the new clock.
+        q.schedule(SimTime(40), 2);
+        assert_eq!(q.pop(), Some((SimTime(40), 2)));
+        assert_eq!(q.processed(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn ran_outside_past_a_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), ());
+        q.ran_outside(1, SimTime(20));
     }
 
     #[test]

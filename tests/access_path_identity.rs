@@ -6,7 +6,9 @@
 //! and range flushes on that path are rewritten for speed from time to
 //! time; every such rewrite must leave the simulated outcome untouched.
 //! The constants below were recorded once and pin the end clock, the
-//! backend counters, the page-cache counters and the engine's event count.
+//! backend counters, the page-cache counters, the engine's event count
+//! and an FNV-1a digest of the cluster's whole snapshot document (fabric,
+//! RMC, DRAM and directory counters).
 //!
 //! The geometry is shrunk so that every mechanism fires at this size: the
 //! cache is smaller than the tree (capacity evictions and dirty
@@ -39,6 +41,7 @@ struct Outcome {
     stats: AccessStats,
     swap: Option<SwapStats>,
     events: u64,
+    snapshot: u64,
 }
 
 fn config() -> ClusterConfig {
@@ -84,12 +87,20 @@ fn drive<M: MemSpace>(mem: &mut M) {
     }
 }
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |d, b| {
+        (d ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 fn outcome<M: MemSpace>(mem: &M, world: &World, swap: Option<SwapStats>) -> Outcome {
     Outcome {
         now_ps: mem.now().as_ps(),
         stats: mem.stats(),
         swap,
         events: world.events_processed(),
+        snapshot: fnv1a(world.snapshot().doc.to_string().into_bytes()),
     }
 }
 
@@ -128,6 +139,7 @@ fn remote_memory_btree_outcome_is_pinned() {
             },
             swap: None,
             events: 52_000,
+            snapshot: 0x27F0_1F0C_D500_F4E8,
         }
     );
 }
@@ -178,6 +190,7 @@ fn remote_swap_btree_outcome_is_pinned() {
                 clean_evictions: 489,
             }),
             events: 5_830,
+            snapshot: 0x579C_E145_E41C_4C95,
         }
     );
 }

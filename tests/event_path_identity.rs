@@ -27,14 +27,38 @@
 //!   later ones aimed at the dead donor so the failure declaration sweeps
 //!   them up. Traced in Full mode.
 //!
-//! The last three also pin an FNV-1a digest of the whole snapshot
-//! document (which embeds the trace summary when tracing is on).
+//!
+//! Five more worlds drive the blocking and posted drivers alone, the way
+//! the `MemSpace` backends do. A blocking transaction that finds nothing
+//! else pending runs as a direct chain of the handlers; these worlds pin
+//! the cases that must keep the queue, and one that must not:
+//!
+//! * **Lossy drivers**: a lossy fabric, so every transaction arms a
+//!   loss-recovery timer and retransmits now and then.
+//! * **Sampled drivers**: a sampling probe is always pending.
+//! * **Posted b-tree**: a b-tree on remote memory with posted writes,
+//!   settled by `quiesce`, so reads find writes in flight or an idle
+//!   world by turns.
+//! * **NACKed drivers**: posted writes fill the client's request slots,
+//!   so the blocking read behind them is NACKed and pumps the queue.
+//! * **Traced drivers**: a Full-trace world of blocking and posted
+//!   drivers, which also pins a digest of its Chrome span export.
+//!
+//! The coherent, sequential-scan and donor-crash worlds and all five
+//! driver worlds also pin an FNV-1a digest of the whole snapshot document
+//! (which embeds the trace summary when tracing is on).
 
+use cohfree::core::backend::{AccessStats, RemoteOptions};
 use cohfree::core::world::ThreadSpec;
 use cohfree::core::{AccessOutcome, FaultEvent, FaultPlan, ManagerConfig, TraceConfig};
+use cohfree::mem::cache::CacheConfig;
 use cohfree::sim::stats::LatencyHistogram;
 use cohfree::workloads::serving::{self, ArrivalSpec, RequestMix, TenantSpec};
-use cohfree::{ClusterConfig, MsgKind, NodeId, SimDuration, SimTime, Topology, World};
+use cohfree::workloads::BTree;
+use cohfree::{
+    AllocPolicy, ClusterConfig, MemSpace, MsgKind, NodeId, RemoteMemorySpace, Rng, SimDuration,
+    SimTime, Topology, World,
+};
 
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
@@ -410,6 +434,259 @@ fn donor_crash_with_recovery_outcome_is_pinned() {
             pinned_crash(),
             0xC220_40E0_A2EA_BE08,
             pinned_crash_drivers()
+        )
+    );
+}
+
+/// Zones node 1 borrows from homes one, three and six hops away on the
+/// prototype's 4×4 mesh: `(home, prefixed base)`, 64 frames each.
+fn driver_zones(w: &mut World) -> Vec<(NodeId, u64)> {
+    [2, 7, 16]
+        .iter()
+        .map(|&d| (n(d), w.reserve_remote(n(1), 64, Some(n(d))).prefixed_base))
+        .collect()
+}
+
+/// `rounds` driver calls from node 1 into `zones`, each starting where the
+/// last returned: blocking reads and writes of 64 B to 4 KiB, and every
+/// fifth call or so a posted write.
+fn drive_mixed(w: &mut World, zones: &[(NodeId, u64)], rounds: u64, seed: u64) -> Vec<Driven> {
+    let mut rng = Rng::new(seed);
+    let mut t = w.now();
+    let mut out = Vec::new();
+    for _ in 0..rounds {
+        let (home, base) = zones[rng.below(zones.len() as u64) as usize];
+        let bytes = [64, 64, 256, 4096][rng.below(4) as usize];
+        let addr = base + rng.below(64) * 4096;
+        match rng.below(10) {
+            0..=1 => {
+                t = w.posted_transaction(t, n(1), home, MsgKind::WriteReq { bytes }, addr);
+                out.push(posted(t));
+            }
+            k => {
+                let kind = if k < 5 {
+                    MsgKind::WriteReq { bytes }
+                } else {
+                    MsgKind::ReadReq { bytes }
+                };
+                let o = w.try_blocking_transaction(t, n(1), home, kind, addr);
+                t = done_at(o);
+                out.push(driven(o));
+            }
+        }
+    }
+    out
+}
+
+/// `(count, FNV-1a digest)` of a driver-result list.
+fn drivers_digest(d: &[Driven]) -> (usize, u64) {
+    let bytes = d.iter().flat_map(|&(c, node, at)| {
+        [c as u8]
+            .into_iter()
+            .chain(node.to_le_bytes())
+            .chain(at.to_le_bytes())
+    });
+    (d.len(), fnv1a(bytes))
+}
+
+#[test]
+fn lossy_blocking_drivers_outcome_is_pinned() {
+    let mut cfg = ClusterConfig::prototype();
+    cfg.fabric.loss_rate = 5e-3;
+    cfg.recovery.max_retries = 12;
+    let mut w = World::new(cfg);
+    let zones = driver_zones(&mut w);
+    let drivers = drive_mixed(&mut w, &zones, 600, 0x1055_0001);
+    w.drain_background();
+    assert!(w.fabric().dropped() > 0, "the fabric must lose messages");
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w), drivers_digest(&drivers)),
+        (
+            Outcome {
+                now_ps: 1_853_973_653,
+                events: 6_499,
+                fabric: (1_214, 4_046, 25, 0),
+                threads: vec![],
+            },
+            0xFB48_BAF4_FBE6_066D,
+            (600, 0xD597_711D_FE2B_54E8)
+        )
+    );
+}
+
+#[test]
+fn sampled_blocking_drivers_outcome_is_pinned() {
+    let mut w = World::new(ClusterConfig::prototype());
+    w.enable_sampling(SimDuration::us(2));
+    let zones = driver_zones(&mut w);
+    let drivers = drive_mixed(&mut w, &zones, 400, 0x5A3F_0002);
+    w.drain_background();
+    assert!(w.samples().len() > 10, "the probe must keep sampling");
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w), drivers_digest(&drivers)),
+        (
+            Outcome {
+                now_ps: 688_000_000,
+                events: 4_404,
+                fabric: (800, 2_860, 0, 0),
+                threads: vec![],
+            },
+            0xAD80_9684_7816_01BE,
+            (400, 0xB5C9_21D2_FB7B_26CA)
+        )
+    );
+}
+
+#[test]
+fn posted_write_btree_outcome_is_pinned() {
+    let mut cfg = ClusterConfig::prototype();
+    cfg.cache = CacheConfig {
+        line_bytes: 64,
+        sets: 64,
+        ways: 8,
+    };
+    let mut mem = RemoteMemorySpace::with_options(
+        cfg,
+        n(1),
+        AllocPolicy::AlwaysRemote,
+        RemoteOptions {
+            posted_writes: true,
+            servers: Some(vec![n(3), n(12)]),
+            zone_frames: 64,
+            ..RemoteOptions::default()
+        },
+    );
+    let mut rng = Rng::new(0xB7EE_0003);
+    let mut keys: Vec<u64> = (0..6_000).map(|_| rng.next_u64()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut tree = BTree::bulk_load(&mut mem, &keys, 31);
+    let mut found = 0u64;
+    for i in 0..1_500u64 {
+        if i % 4 == 0 {
+            tree.insert(&mut mem, rng.next_u64());
+        } else if tree
+            .search(&mut mem, keys[rng.below(keys.len() as u64) as usize])
+            .found
+        {
+            found += 1;
+        }
+        if i % 500 == 499 {
+            mem.quiesce();
+        }
+    }
+    mem.quiesce();
+    let w = mem.world();
+    assert_eq!(w.pending_count(), 0);
+    assert_eq!(
+        (
+            mem.now().as_ps(),
+            mem.stats(),
+            found,
+            outcome(w),
+            snapshot_digest(w)
+        ),
+        (
+            6_167_579_000,
+            AccessStats {
+                reads: 39_477,
+                writes: 17_139,
+                bytes_read: 315_816,
+                bytes_written: 137_112,
+                cache_hits: 52_352,
+                cache_misses: 4_264,
+                tlb_walks: 46,
+                remote_reads: 4_264,
+                remote_writes: 2_118,
+                allocations: 355,
+                reservations: 1,
+                ..AccessStats::default()
+            },
+            1_125,
+            Outcome {
+                now_ps: 6_167_261_000,
+                events: 44_674,
+                fabric: (12_764, 25_528, 0, 0),
+                threads: vec![],
+            },
+            0xE0F6_ED13_EAAB_37CC
+        )
+    );
+}
+
+#[test]
+fn nacked_blocking_drivers_outcome_is_pinned() {
+    let mut w = World::new(ClusterConfig::prototype());
+    let zones = driver_zones(&mut w);
+    let slots = w.config().rmc.request_slots as u64;
+    let mut drivers = Vec::new();
+    let mut t = w.now();
+    for round in 0..60u64 {
+        let (home, base) = zones[(round % 3) as usize];
+        // Fill every request slot with posted writes issued at one instant,
+        // then offer a blocking read behind them.
+        for k in 0..slots {
+            let addr = base + ((round * slots + k) % 64) * 4096;
+            let at = w.posted_transaction(t, n(1), home, MsgKind::WriteReq { bytes: 64 }, addr);
+            drivers.push(posted(at));
+        }
+        let (home, base) = zones[((round + 1) % 3) as usize];
+        let o = w.try_blocking_transaction(
+            t,
+            n(1),
+            home,
+            MsgKind::ReadReq { bytes: 64 },
+            base + (round % 64) * 4096,
+        );
+        drivers.push(driven(o));
+        t = done_at(o);
+    }
+    w.drain_background();
+    assert!(
+        w.client(n(1)).nacks() > 0,
+        "the blocking reads must be NACKed"
+    );
+    assert_eq!(
+        (outcome(&w), snapshot_digest(&w), drivers_digest(&drivers)),
+        (
+            Outcome {
+                now_ps: 170_196_000,
+                events: 2_320,
+                fabric: (480, 1_600, 0, 0),
+                threads: vec![],
+            },
+            0x1EAF_ACBE_ED66_5C33,
+            (60 * (slots as usize + 1), 0x0C97_8F7B_7FA3_3113)
+        )
+    );
+}
+
+#[test]
+fn traced_blocking_drivers_outcome_is_pinned() {
+    let mut cfg = ClusterConfig::prototype();
+    cfg.trace = TraceConfig::full();
+    let mut w = World::new(cfg);
+    let zones = driver_zones(&mut w);
+    let drivers = drive_mixed(&mut w, &zones, 300, 0x7ACE_0005);
+    w.drain_background();
+    let export = fnv1a(w.trace().chrome_trace().to_string().into_bytes());
+    assert_eq!(
+        (
+            outcome(&w),
+            snapshot_digest(&w),
+            export,
+            drivers_digest(&drivers)
+        ),
+        (
+            Outcome {
+                now_ps: 505_847_500,
+                events: 2_956,
+                fabric: (600, 2_056, 0, 0),
+                threads: vec![],
+            },
+            0x9816_689E_CB10_B530,
+            0x6CBE_BB43_D50E_80B9,
+            (300, 0x144C_C668_832B_FFAB)
         )
     );
 }
